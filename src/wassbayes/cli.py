@@ -63,8 +63,7 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     return scenario
 
 
-def _dispatch(args: argparse.Namespace) -> dict:
-    scenario = _resolve_scenario(args)
+def _dispatch(args: argparse.Namespace, scenario: Scenario) -> dict:
     out = args.out if args.out is not None else f"runs/{scenario.name}"
     if args.command == "validate":
         return {"name": scenario.name, "kind": scenario.kind,
@@ -95,9 +94,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario)
+        scenario = _resolve_scenario(args)
         _check_verb_kind(args, scenario.kind)
-        result = _dispatch(args)
+        result = _dispatch(args, scenario)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

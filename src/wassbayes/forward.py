@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComputeError
-from .signals import Gather, TimeGrid, Trace
+from .signals import Gather, TimeGrid
 
 X1_MIN, X1_MAX = -1.0, 1.0
 X2_MIN, X2_MAX = -2.0, 0.0
@@ -91,9 +91,8 @@ def dalembert_simulate(model: DalembertModel, theta: np.ndarray) -> Gather:
     t = model.grid.times()[None, :]
     x = model.receivers[:, None]
     values = 0.5 * (pulse_profile(x - t, x0, a) + pulse_profile(x + t, x0, a))
-    traces = tuple(Trace(model.grid, row) for row in values)
     labels = tuple((0, r, 0) for r in range(len(model.receivers)))
-    return Gather(traces=traces, labels=labels)
+    return Gather(model.grid, values, labels)
 
 
 def ricker_wavelet(t) -> np.ndarray:
@@ -370,10 +369,8 @@ def acoustic_simulate(model: AcousticModel, theta: np.ndarray,
         c2, model.dx, model.solver_dt, n_steps,
         source_nodes=(ii, jj), source_series=series,
         record_idx=model._rec_idx, record_every=model._decim)
-    traces = tuple(Trace(model.grid, result.records[:, r])
-                   for r in range(len(model.receivers)))
     labels = tuple((source_index, r, 0) for r in range(len(model.receivers)))
-    return Gather(traces=traces, labels=labels)
+    return Gather(model.grid, result.records.T, labels)
 
 
 def acoustic_simulate_all(model: AcousticModel, theta: np.ndarray) -> list[Gather]:

@@ -61,18 +61,22 @@ class MisfitCache:
 
 
 def compute_misfits(model: LikelihoodModel, sim: Gather, obs: Gather) -> MisfitCache:
-    """Label-matched per-trace misfits of simulated against observed data."""
+    """Label-matched per-trace misfits of simulated against observed data.
+
+    The observed rows are reordered to the simulated labels when the two
+    label tuples differ; the result follows the simulated order.
+    """
     if sim.grid.n != model.n_obs:
         raise ValueError(f"model expects {model.n_obs} samples per trace, "
                          f"gather has {sim.grid.n}")
-    if set(sim.labels) != set(obs.labels):
-        raise ValueError("gathers carry different trace labels")
+    if sim.labels != obs.labels:
+        if set(sim.labels) != set(obs.labels):
+            raise ValueError("gathers carry different trace labels")
+        obs = obs.select(sim.labels)
     if model.kind == KIND_EXP_W2:
-        per = [w2_distance(tr, obs.trace_for(lab), model.scaling)
-               for lab, tr in sim.items()]
+        per = w2_distance(sim, obs, model.scaling)
     else:
-        per = [l2_distance(tr, obs.trace_for(lab)) for lab, tr in sim.items()]
-    per = np.asarray(per)
+        per = l2_distance(sim, obs)
     return MisfitCache(per_trace=per, total=float(per.sum()))
 
 

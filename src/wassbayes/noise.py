@@ -37,7 +37,7 @@ class NoiseSpec:
 
 def pollute(gather: Gather, spec: NoiseSpec, rng: np.random.Generator) -> Gather:
     """Noisy copy of a gather; draw order is multiplicative field then additive."""
-    clean = gather.values_matrix()
+    clean = gather.values
     if spec.gamma_shape is not None:
         k = spec.gamma_shape
         eps1 = rng.gamma(shape=k, scale=1.0 / k, size=clean.shape)
@@ -70,8 +70,8 @@ def empirical_noise_moments(clean: Gather, noisy: Gather,
     threshold_frac * max|clean| (elsewhere the ratio is dominated by the
     additive part); additive residuals noisy - clean use every sample.
     """
-    c = clean.values_matrix()
-    g = noisy.values_matrix()
+    c = clean.values
+    g = noisy.values
     if c.shape != g.shape:
         raise ValueError("gathers must have matching shapes")
     mask = np.abs(c) > threshold_frac * np.abs(c).max()

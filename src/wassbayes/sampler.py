@@ -180,16 +180,12 @@ def mh_step(state: ChainState, problem: Problem, proposal: ProposalSpec,
     return state, False
 
 
-def run_chain(problem: Problem, schedule: ChainSchedule) -> Chain:
-    rng = np.random.default_rng(schedule.seed)
-    proposal = problem.proposal
-    m = problem.theta_prior.dim
-
-    adapt_after = proposal.adapt_after
+def check_adaptation(adapt_after: int, burn_in: int, m: int) -> None:
+    """Reject an adaptation point other than 0 (off) or one in [m + 2, burn_in]."""
     if adapt_after > 0:
-        if adapt_after > schedule.burn_in:
+        if adapt_after > burn_in:
             raise ConfigError(
-                f"adapt_after={adapt_after} exceeds burn_in={schedule.burn_in}; "
+                f"adapt_after={adapt_after} exceeds burn_in={burn_in}; "
                 "adapting after burn-in has no agreed meaning"
             )
         if adapt_after < m + 2:
@@ -197,6 +193,15 @@ def run_chain(problem: Problem, schedule: ChainSchedule) -> Chain:
                 f"adapt_after={adapt_after} is too small to estimate an "
                 f"{m}-parameter covariance (need >= {m + 2})"
             )
+
+
+def run_chain(problem: Problem, schedule: ChainSchedule) -> Chain:
+    rng = np.random.default_rng(schedule.seed)
+    proposal = problem.proposal
+    m = problem.theta_prior.dim
+
+    adapt_after = proposal.adapt_after
+    check_adaptation(adapt_after, schedule.burn_in, m)
 
     state = _evaluate(problem, problem.theta0, problem.s0)
     n_retained = schedule.retained_count

@@ -37,7 +37,7 @@ from .likelihood import (KIND_EXP_W2, KIND_GAUSS_L2, LikelihoodModel,
                          landscape_scan_1d)
 from .noise import NoiseSpec, pollute
 from .priors import GammaPrior, ProposalSpec, UniformBoxPrior
-from .sampler import (Chain, ChainSchedule, Problem, run_chain)
+from .sampler import Chain, ChainSchedule, Problem, check_adaptation, run_chain
 from .signals import Gather, TimeGrid, Trace, make_grid, merge_gathers, write_gather_csv
 from .transport import Scaling
 
@@ -189,8 +189,7 @@ def _validate_inversion(cfg: dict) -> None:
     if s0 <= 0:
         raise ConfigError(f"init.s must be positive, got {s0}")
 
-    sched = _need(cfg, "schedule", "")
-    _schedule_from_config(sched, seed=0)  # validates the arithmetic
+    schedule = _schedule_from_config(_need(cfg, "schedule", ""), seed=0)
 
     dims = {"forward model": bundle.n_params, "truth.theta": len(theta_true),
             "theta_prior": prior.dim, "proposal": proposal.dim,
@@ -198,6 +197,7 @@ def _validate_inversion(cfg: dict) -> None:
     if len(set(dims.values())) != 1:
         detail = ", ".join(f"{k}={v}" for k, v in dims.items())
         raise ConfigError(f"parameter dimensions disagree: {detail}")
+    check_adaptation(proposal.adapt_after, schedule.burn_in, prior.dim)
     if not prior.contains(np.array(theta_true)):
         raise ConfigError(f"truth.theta {theta_true} lies outside the prior box")
     if not prior.contains(np.array(theta0)):
@@ -326,8 +326,8 @@ def build_forward(fwd: dict) -> ForwardBundle:
                              int(_need(fwd, "n_samples", "forward.")))
 
             def simulate(theta: np.ndarray) -> Gather:
-                values = np.full(grid.n, float(np.asarray(theta)[0]))
-                return Gather(traces=[Trace(grid, values)], labels=[(0, 0, 0)])
+                values = np.full((1, grid.n), float(np.asarray(theta)[0]))
+                return Gather(grid, values, [(0, 0, 0)])
 
             return ForwardBundle(simulate=simulate, n_params=1, grid=grid)
     except ConfigError:

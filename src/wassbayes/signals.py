@@ -81,70 +81,63 @@ class Trace:
         return self.grid.times()
 
 
-def trace_stats(trace: Trace) -> tuple[float, float, float]:
-    """(min, max, total mass) of the raw samples."""
-    v = trace.values
-    return float(v.min()), float(v.max()), float(v.sum())
-
-
 @dataclass(frozen=True, eq=False)
 class Gather:
-    """An ordered collection of traces on one grid, keyed by (source, receiver, component)."""
+    """Traces on one time grid: one row of values per (source, receiver, component) label."""
 
-    traces: tuple[Trace, ...]
+    grid: TimeGrid
+    values: np.ndarray  # (R, n), read-only, row r belongs to labels[r]
     labels: tuple[Label, ...]
     _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        traces = tuple(self.traces)
+        vals = self.values
+        # A read-only float64 C array that owns its memory cannot change
+        # under the gather, so it is kept as is; anything else is copied.
+        # C order keeps each row contiguous, so row-wise reductions sum in
+        # the same order as they do on a single trace.
+        if not (isinstance(vals, np.ndarray) and vals.base is None
+                and not vals.flags.writeable and vals.dtype == np.float64
+                and vals.flags.c_contiguous):
+            vals = np.array(vals, dtype=np.float64, order="C")
         labels = tuple(tuple(int(i) for i in lab) for lab in self.labels)
-        if not traces:
-            raise ValueError("gather must hold at least one trace")
-        if len(traces) != len(labels):
+        if vals.ndim != 2 or vals.shape[0] == 0:
+            raise ValueError(f"gather values must be a non-empty (R, n) matrix, "
+                             f"got shape {vals.shape}")
+        if vals.shape[1] != self.grid.n:
             raise ValueError(
-                f"{len(traces)} traces but {len(labels)} labels"
+                f"gather rows have {vals.shape[1]} samples but grid expects {self.grid.n}"
             )
-        grid = traces[0].grid
-        for tr in traces[1:]:
-            if tr.grid != grid:
-                raise ValueError("all traces in a gather must share one time grid")
+        if vals.shape[0] != len(labels):
+            raise ValueError(f"{vals.shape[0]} traces but {len(labels)} labels")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("gather contains non-finite samples")
         index = {}
         for k, lab in enumerate(labels):
             if lab in index:
                 raise ValueError(f"duplicate trace label {lab}")
             index[lab] = k
-        object.__setattr__(self, "traces", traces)
+        vals.setflags(write=False)
+        object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
 
     @property
-    def grid(self) -> TimeGrid:
-        return self.traces[0].grid
-
-    @property
     def n_traces(self) -> int:
-        return len(self.traces)
+        return self.values.shape[0]
 
     def trace_for(self, label: Label) -> Trace:
-        return self.traces[self._index[tuple(label)]]
+        return Trace(self.grid, self.values[self._index[tuple(label)]])
 
-    def items(self):
-        return zip(self.labels, self.traces)
-
-    def values_matrix(self) -> np.ndarray:
-        """Stacked samples, one row per trace, in stored order."""
-        return np.stack([tr.values for tr in self.traces])
+    def select(self, labels) -> "Gather":
+        """The rows for the given labels, in that order."""
+        labels = [tuple(lab) for lab in labels]
+        rows = [self._index[lab] for lab in labels]
+        return Gather(self.grid, self.values[rows], labels)
 
     def with_values(self, matrix: np.ndarray) -> "Gather":
         """Same labels and grid, new samples (one row per trace)."""
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.shape != (self.n_traces, self.grid.n):
-            raise ValueError(
-                f"expected value matrix of shape {(self.n_traces, self.grid.n)}, "
-                f"got {matrix.shape}"
-            )
-        traces = tuple(Trace(self.grid, row) for row in matrix)
-        return Gather(traces=traces, labels=self.labels)
+        return Gather(self.grid, matrix, self.labels)
 
 
 def merge_gathers(gathers) -> Gather:
@@ -152,12 +145,12 @@ def merge_gathers(gathers) -> Gather:
     gathers = list(gathers)
     if not gathers:
         raise ValueError("nothing to merge")
-    traces = []
-    labels = []
-    for g in gathers:
-        traces.extend(g.traces)
-        labels.extend(g.labels)
-    return Gather(traces=tuple(traces), labels=tuple(labels))
+    grid = gathers[0].grid
+    if any(g.grid != grid for g in gathers[1:]):
+        raise ValueError("all traces in a gather must share one time grid")
+    values = np.concatenate([g.values for g in gathers])
+    values.setflags(write=False)  # owned and frozen: kept without a second copy
+    return Gather(grid, values, tuple(lab for g in gathers for lab in g.labels))
 
 
 def _label_name(label: Label) -> str:
@@ -175,7 +168,7 @@ def write_gather_csv(gather: Gather, path) -> None:
     """Plain CSV: a time column followed by one column per trace."""
     names = ",".join(_label_name(lab) for lab in gather.labels)
     times = gather.grid.times()
-    matrix = gather.values_matrix()
+    matrix = gather.values
     with open(path, "w", newline="") as fh:
         fh.write(f"time,{names}\n")
         for k in range(gather.grid.n):
@@ -196,15 +189,14 @@ def read_gather_csv(path) -> Gather:
         raise ValueError("gather file holds fewer than 2 samples")
     grid = TimeGrid(t0=float(times[0]), dt=float((times[-1] - times[0]) / (len(times) - 1)),
                     n=len(times))
-    traces = tuple(Trace(grid, data[:, 1 + k]) for k in range(len(labels)))
-    return Gather(traces=traces, labels=labels)
+    return Gather(grid, data[:, 1:].T, labels)
 
 
 def write_gather_json(gather: Gather, path) -> None:
     doc = {
         "grid": {"t0": gather.grid.t0, "dt": gather.grid.dt, "n": gather.grid.n},
         "labels": [list(lab) for lab in gather.labels],
-        "values": [tr.values.tolist() for tr in gather.traces],
+        "values": gather.values.tolist(),
     }
     with open(path, "w") as fh:
         json.dump(doc, fh)
@@ -215,5 +207,4 @@ def read_gather_json(path) -> Gather:
         doc = json.load(fh)
     grid = TimeGrid(t0=doc["grid"]["t0"], dt=doc["grid"]["dt"], n=doc["grid"]["n"])
     labels = tuple(tuple(int(i) for i in lab) for lab in doc["labels"])
-    traces = tuple(Trace(grid, vals) for vals in doc["values"])
-    return Gather(traces=traces, labels=labels)
+    return Gather(grid, doc["values"], labels)

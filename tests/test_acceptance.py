@@ -301,7 +301,7 @@ def test_criterion_10_linear_gaussian_sampler_oracle(capsys):
         cfg["seed"] = seed
         scenario = wb.scenario_from_config(cfg)
         _, noisy = wb.synthesize_observations(scenario)
-        data = noisy.values_matrix().ravel()
+        data = noisy.values.ravel()
         s_fixed = cfg["init"]["s"]
         exact_mean = data.mean()
         exact_var = 1.0 / (s_fixed * data.size)

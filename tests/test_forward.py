@@ -57,7 +57,7 @@ class TestDalembert:
         receivers = np.arange(-3.0, 3.1, 1.0)
         model = wb.DalembertModel(receivers=receivers, grid=grid)
         g = wb.dalembert_simulate(model, np.array([5.0]))
-        first = g.values_matrix()[:, 0]
+        first = g.values[:, 0]
         np.testing.assert_allclose(first, wb.pulse_profile(receivers, 0.0, 5.0),
                                    rtol=1e-14)
 
@@ -84,7 +84,7 @@ class TestDalembert:
         model = wb.DalembertModel(receivers=receivers, grid=grid,
                                   mode="location-amplitude")
         g = wb.dalembert_simulate(model, np.array([x0, a]))
-        np.testing.assert_allclose(g.values_matrix().T, oracle, atol=tol)
+        np.testing.assert_allclose(g.values.T, oracle, atol=tol)
 
     def test_amplitude_mode_unpack(self):
         grid = wb.make_grid(0.0, 5.0, 11)
@@ -282,7 +282,7 @@ class TestAcousticSimulate:
         model = small_acoustic()
         a = wb.acoustic_simulate(model, np.array([1.5]), 0)
         b = wb.acoustic_simulate(model, np.array([1.5]), 0)
-        np.testing.assert_array_equal(a.values_matrix(), b.values_matrix())
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_labels_carry_source_index(self):
         model = small_acoustic(sources=((0.0, -1.0), (0.4, -1.0)))

@@ -10,8 +10,7 @@ def flat_gather(values, n=101, labels=None):
     grid = wb.make_grid(0.0, 5.0, n)
     if labels is None:
         labels = [(0, r, 0) for r in range(len(values))]
-    traces = [wb.Trace(grid=grid, values=np.full(n, v)) for v in values]
-    return wb.Gather(traces=traces, labels=labels)
+    return wb.Gather(grid, np.array([np.full(n, v) for v in values]), labels)
 
 
 class TestLogLikelihoodValues:
@@ -43,8 +42,8 @@ class TestLogLikelihoodValues:
         grid = wb.make_grid(0.0, 1.0, n)
         f = rng.normal(size=n)
         g = rng.normal(size=n)
-        sim = wb.Gather(traces=[wb.Trace(grid=grid, values=f)], labels=[(0, 0, 0)])
-        obs = wb.Gather(traces=[wb.Trace(grid=grid, values=g)], labels=[(0, 0, 0)])
+        sim = wb.Gather(grid, f[None], [(0, 0, 0)])
+        obs = wb.Gather(grid, g[None], [(0, 0, 0)])
         model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=n)
         s = 2.5
         ll, _ = wb.log_likelihood(model, sim, obs, s=s)
@@ -92,6 +91,21 @@ class TestMisfits:
         cache = wb.compute_misfits(model, sim, obs)
         np.testing.assert_allclose(cache.per_trace, [101.0, 404.0])
 
+    def test_observed_rows_reordered_to_sim_labels(self):
+        grid = wb.make_grid(0.0, 5.0, 41)
+        rng = np.random.default_rng(8)
+        labels = [(0, 0, 0), (0, 1, 0), (1, 0, 0)]
+        sim = wb.Gather(grid, rng.normal(size=(3, 41)), labels)
+        obs = wb.Gather(grid, rng.normal(size=(3, 41)), labels)
+        shuffled = obs.select([labels[2], labels[0], labels[1]])
+        for model in (wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=41),
+                      wb.LikelihoodModel(kind=wb.KIND_EXP_W2, n_obs=41,
+                                         scaling=wb.Scaling(kind="linear"))):
+            matched = wb.compute_misfits(model, sim, obs)
+            reordered = wb.compute_misfits(model, sim, shuffled)
+            np.testing.assert_array_equal(reordered.per_trace, matched.per_trace)
+            assert reordered.total == matched.total
+
 
 class TestConjugateIncrements:
     def test_exp_w2_increments(self):
@@ -124,8 +138,7 @@ class TestLandscape:
         grid = wb.make_grid(0.0, 1.0, 11)
 
         def forward(theta):
-            tr = wb.Trace(grid=grid, values=np.full(11, theta[0]))
-            return wb.Gather(traces=[tr], labels=[(0, 0, 0)])
+            return wb.Gather(grid, np.full((1, 11), theta[0]), [(0, 0, 0)])
 
         obs = forward(np.array([4.0]))
         model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)
@@ -141,8 +154,7 @@ class TestLandscape:
         def forward(theta):
             if theta[0] > 3.0:
                 raise RuntimeError("unstable")
-            tr = wb.Trace(grid=grid, values=np.full(11, theta[0]))
-            return wb.Gather(traces=[tr], labels=[(0, 0, 0)])
+            return wb.Gather(grid, np.full((1, 11), theta[0]), [(0, 0, 0)])
 
         obs = forward(np.array([2.0]))
         model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)

@@ -6,9 +6,8 @@ import wassbayes as wb
 
 def flat_gather(value=1.0, n_traces=4, n=500):
     g = wb.make_grid(0, 5, n)
-    traces = tuple(wb.Trace(g, np.full(n, value)) for _ in range(n_traces))
     labels = tuple((0, r, 0) for r in range(n_traces))
-    return wb.Gather(traces=traces, labels=labels)
+    return wb.Gather(g, np.full((n_traces, n), value), labels)
 
 
 class TestNoiseSpec:
@@ -31,7 +30,7 @@ class TestPollute:
     def test_identity_passthrough(self):
         ga = flat_gather()
         out = wb.pollute(ga, wb.NoiseSpec(), np.random.default_rng(0))
-        np.testing.assert_array_equal(out.values_matrix(), ga.values_matrix())
+        np.testing.assert_array_equal(out.values, ga.values)
         assert out.labels == ga.labels
 
     def test_deterministic_given_seed(self):
@@ -39,20 +38,20 @@ class TestPollute:
         spec = wb.NoiseSpec(gamma_shape=60.0, uniform_width=0.25)
         a = wb.pollute(ga, spec, np.random.default_rng(123))
         b = wb.pollute(ga, spec, np.random.default_rng(123))
-        np.testing.assert_array_equal(a.values_matrix(), b.values_matrix())
+        np.testing.assert_array_equal(a.values, b.values)
 
     def test_no_nan_for_sane_params(self):
         ga = flat_gather()
         out = wb.pollute(ga, wb.NoiseSpec(gamma_shape=1000.0, uniform_width=0.05),
                          np.random.default_rng(7))
-        assert np.all(np.isfinite(out.values_matrix()))
+        assert np.all(np.isfinite(out.values))
 
     def test_gamma_moments(self):
         # Gamma(k, k) has mean 1 and variance 1/k
         ga = flat_gather(value=2.0, n_traces=40, n=1000)
         k = 60.0
         out = wb.pollute(ga, wb.NoiseSpec(gamma_shape=k), np.random.default_rng(42))
-        ratio = out.values_matrix() / 2.0
+        ratio = out.values / 2.0
         n = ratio.size
         assert ratio.mean() == pytest.approx(1.0, abs=4.0 / np.sqrt(k * n))
         assert ratio.var(ddof=1) == pytest.approx(1.0 / k, rel=0.05)
@@ -61,7 +60,7 @@ class TestPollute:
         ga = flat_gather(value=0.0, n_traces=40, n=1000)
         w = 0.25
         out = wb.pollute(ga, wb.NoiseSpec(uniform_width=w), np.random.default_rng(9))
-        vals = out.values_matrix()
+        vals = out.values
         assert vals.min() >= -w and vals.max() <= w
         assert vals.var(ddof=1) == pytest.approx(w * w / 3.0, rel=0.05)
 
@@ -69,7 +68,7 @@ class TestPollute:
         ga = flat_gather(value=0.0, n_traces=40, n=1000)
         out = wb.pollute(ga, wb.NoiseSpec(gaussian_sigma=0.1),
                          np.random.default_rng(3))
-        assert out.values_matrix().std(ddof=1) == pytest.approx(0.1, rel=0.05)
+        assert out.values.std(ddof=1) == pytest.approx(0.1, rel=0.05)
 
 
 class TestMoments:
@@ -86,8 +85,7 @@ class TestMoments:
 
     def test_threshold_excludes_quiet_samples(self):
         g = wb.make_grid(0, 1, 10)
-        quiet = wb.Trace(g, np.array([1e-6] * 5 + [1.0] * 5))
-        ga = wb.Gather(traces=(quiet,), labels=((0, 0, 0),))
+        ga = wb.Gather(g, [[1e-6] * 5 + [1.0] * 5], ((0, 0, 0),))
         noisy = wb.pollute(ga, wb.NoiseSpec(gaussian_sigma=0.01),
                            np.random.default_rng(1))
         mom = wb.empirical_noise_moments(ga, noisy)

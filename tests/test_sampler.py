@@ -7,8 +7,7 @@ from wassbayes.sampler import _evaluate
 
 def constant_forward(grid, n):
     def forward(theta):
-        tr = wb.Trace(grid=grid, values=np.full(n, theta[0]))
-        return wb.Gather(traces=[tr], labels=[(0, 0, 0)])
+        return wb.Gather(grid, np.full((1, n), theta[0]), [(0, 0, 0)])
     return forward
 
 
@@ -111,8 +110,7 @@ class TestMhStep:
         # a forward model that ignores theta gives log_alpha == 0 for every
         # in-box candidate, so each step must accept
         grid = wb.make_grid(0.0, 1.0, 11)
-        fixed = wb.Gather(traces=[wb.Trace(grid=grid, values=np.ones(11))],
-                          labels=[(0, 0, 0)])
+        fixed = wb.Gather(grid, np.ones((1, 11)), [(0, 0, 0)])
         problem = make_problem()
         problem = wb.Problem(
             forward=lambda theta: fixed, observed=fixed,
@@ -162,6 +160,27 @@ class TestMhStep:
         twin.standard_normal(1)
         twin.uniform()
         assert rng.uniform() == twin.uniform()
+
+    def test_non_finite_forward_output_rejects(self):
+        grid = wb.make_grid(0.0, 1.0, 11)
+        base = constant_forward(grid, 11)
+
+        def nan_forward(theta):
+            if abs(theta[0] - 3.0) > 1e-12:
+                return wb.Gather(grid, np.full((1, 11), np.nan), [(0, 0, 0)])
+            return base(theta)
+
+        problem = make_problem()
+        problem = wb.Problem(
+            forward=nan_forward, observed=problem.observed,
+            likelihood=problem.likelihood, theta_prior=problem.theta_prior,
+            proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
+            s_prior=problem.s_prior)
+        state = _evaluate(problem, problem.theta0, problem.s0)
+        new_state, accepted = wb.mh_step(state, problem, problem.proposal,
+                                         np.random.default_rng(5))
+        assert not accepted
+        assert new_state is state
 
     def test_state_cache_stays_coherent(self):
         problem = make_problem(theta_true=4.0, proposal_var=1.0)

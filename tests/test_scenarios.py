@@ -231,14 +231,14 @@ class TestSeedFanout:
     def test_noise_free_scenario_returns_clean_data(self):
         sc = wb.scenario_from_config(minimal_config(noise=None))
         clean, noisy = wb.synthesize_observations(sc)
-        np.testing.assert_array_equal(clean.values_matrix(),
-                                      noisy.values_matrix())
+        np.testing.assert_array_equal(clean.values,
+                                      noisy.values)
 
     def test_same_seed_same_observations(self):
         sc = wb.scenario_from_config(minimal_config())
         _, a = wb.synthesize_observations(sc)
         _, b = wb.synthesize_observations(sc)
-        np.testing.assert_array_equal(a.values_matrix(), b.values_matrix())
+        np.testing.assert_array_equal(a.values, b.values)
 
 
 class TestForwardBundles:
@@ -246,7 +246,7 @@ class TestForwardBundles:
         bundle = wb.build_forward({"kind": "constant", "n_samples": 9})
         gather = bundle.simulate(np.array([2.5]))
         assert tuple(gather.labels) == ((0, 0, 0),)
-        np.testing.assert_array_equal(gather.traces[0].values, np.full(9, 2.5))
+        np.testing.assert_array_equal(gather.values, np.full((1, 9), 2.5))
 
     def test_pulse_modes_expose_dimension(self):
         base = {"kind": "pulse-1d", "receivers": [0.0, 1.0],
@@ -471,9 +471,9 @@ class TestRunSimulate:
         result = wb.run_simulate(sc, tmp_path)
         clean = wb.read_gather_csv(tmp_path / "gather_clean.csv")
         noisy = wb.read_gather_csv(tmp_path / "gather_noisy.csv")
-        np.testing.assert_array_equal(clean.values_matrix(), np.ones((1, 9)))
-        assert not np.array_equal(noisy.values_matrix(),
-                                  clean.values_matrix())
+        np.testing.assert_array_equal(clean.values, np.ones((1, 9)))
+        assert not np.array_equal(noisy.values,
+                                  clean.values)
         assert result["n_traces"] == 1
 
 
@@ -611,6 +611,28 @@ class TestCli:
                      "--out", str(tmp_path)]) == 2
         assert main(["scaling-study", "--scenario", "linear-gaussian",
                      "--out", str(tmp_path)]) == 2
+
+    def test_adaptation_past_burn_in_exits_2_before_synthesis(self, tmp_path, capsys):
+        short = ["--scenario", "two-block-tomography",
+                 "--override", "schedule.burn_in=100",
+                 "--override", "schedule.total_iters=150"]
+        assert main(["validate", *short]) == 2
+        assert "adapt_after=500 exceeds burn_in=100" in capsys.readouterr().err
+        assert main(["run", *short, "--out", str(tmp_path)]) == 2
+        assert not (tmp_path / "gather_noisy.csv").exists()
+
+    def test_scenario_loaded_once(self, monkeypatch, tmp_path, capsys):
+        import wassbayes.cli as cli
+        calls = []
+
+        def counting_load(source):
+            calls.append(source)
+            return wb.load_scenario(source)
+
+        monkeypatch.setattr(cli, "load_scenario", counting_load)
+        assert main(["validate", "--scenario", "linear-gaussian", "--seed", "3",
+                     "--override", "schedule.thinning=2"]) == 0
+        assert calls == ["linear-gaussian"]
 
     def test_landscape_without_block_exits_2(self, tmp_path, capsys):
         rc = main(["landscape", "--scenario", "pulse-amplitude-quick",

@@ -35,11 +35,6 @@ class TestTimeGrid:
 
 
 class TestTrace:
-    def test_basic_stats(self):
-        g = wb.make_grid(0, 1, 5)
-        tr = wb.Trace(g, [1.0, -2.0, 3.0, 0.0, 0.5])
-        assert wb.trace_stats(tr) == (-2.0, 3.0, 2.5)
-
     def test_length_must_match_grid(self):
         g = wb.make_grid(0, 1, 5)
         with pytest.raises(ValueError):
@@ -61,26 +56,66 @@ class TestTrace:
 class TestGather:
     def _gather(self):
         g = wb.make_grid(0, 1, 4)
-        traces = tuple(wb.Trace(g, np.arange(4) + k) for k in range(3))
+        values = np.arange(4) + np.arange(3)[:, None]
         labels = ((0, 0, 0), (0, 1, 0), (1, 0, 0))
-        return wb.Gather(traces=traces, labels=labels)
+        return wb.Gather(g, values, labels)
 
     def test_lookup_by_label(self):
         ga = self._gather()
         np.testing.assert_array_equal(ga.trace_for((0, 1, 0)).values,
                                       np.arange(4) + 1.0)
 
+    def test_select_reorders_rows(self):
+        ga = self._gather()
+        sub = ga.select([(1, 0, 0), (0, 0, 0)])
+        assert sub.labels == ((1, 0, 0), (0, 0, 0))
+        np.testing.assert_array_equal(sub.values, ga.values[[2, 0]])
+
     def test_rejects_duplicate_labels(self):
         g = wb.make_grid(0, 1, 4)
-        tr = wb.Trace(g, np.ones(4))
         with pytest.raises(ValueError):
-            wb.Gather(traces=(tr, tr), labels=((0, 0, 0), (0, 0, 0)))
+            wb.Gather(g, np.ones((2, 4)), ((0, 0, 0), (0, 0, 0)))
 
     def test_rejects_mixed_grids(self):
-        t1 = wb.Trace(wb.make_grid(0, 1, 4), np.ones(4))
-        t2 = wb.Trace(wb.make_grid(0, 2, 4), np.ones(4))
+        a = wb.Gather(wb.make_grid(0, 1, 4), np.ones((1, 4)), ((0, 0, 0),))
+        b = wb.Gather(wb.make_grid(0, 2, 4), np.ones((1, 4)), ((0, 1, 0),))
         with pytest.raises(ValueError):
-            wb.Gather(traces=(t1, t2), labels=((0, 0, 0), (0, 1, 0)))
+            wb.merge_gathers([a, b])
+
+    def test_rejects_shape_mismatch(self):
+        g = wb.make_grid(0, 1, 4)
+        with pytest.raises(ValueError):
+            wb.Gather(g, np.ones((2, 3)), ((0, 0, 0), (0, 1, 0)))
+        with pytest.raises(ValueError):
+            wb.Gather(g, np.ones((2, 4)), ((0, 0, 0),))
+        with pytest.raises(ValueError):
+            wb.Gather(g, np.ones(4), ((0, 0, 0),))
+        with pytest.raises(ValueError):
+            wb.Gather(g, np.ones((0, 4)), ())
+
+    def test_rejects_non_finite(self):
+        g = wb.make_grid(0, 1, 3)
+        for bad in (np.nan, np.inf, -np.inf):
+            values = np.ones((2, 3))
+            values[1, 2] = bad
+            with pytest.raises(ValueError):
+                wb.Gather(g, values, ((0, 0, 0), (0, 1, 0)))
+
+    def test_values_frozen_copy(self):
+        source = np.ones((1, 3))
+        ga = wb.Gather(wb.make_grid(0, 1, 3), source, ((0, 0, 0),))
+        source[0, 0] = 5.0
+        assert ga.values[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            ga.values[0, 0] = 9.0
+
+    def test_merge_concatenates_rows(self):
+        ga = self._gather()
+        other = wb.Gather(ga.grid, -ga.values[:1], ((2, 0, 0),))
+        merged = wb.merge_gathers([ga, other])
+        assert merged.labels == ga.labels + ((2, 0, 0),)
+        np.testing.assert_array_equal(merged.values[:3], ga.values)
+        np.testing.assert_array_equal(merged.values[3], -ga.values[0])
 
     def test_merge_keeps_labels_unique(self):
         ga = self._gather()
@@ -97,8 +132,7 @@ class TestSerialization:
     def _gather(self):
         g = wb.make_grid(0.0, 5.0, 11)
         rng = np.random.default_rng(3)
-        traces = tuple(wb.Trace(g, rng.normal(size=11)) for _ in range(2))
-        return wb.Gather(traces=traces, labels=((0, 0, 0), (0, 1, 0)))
+        return wb.Gather(g, rng.normal(size=(2, 11)), ((0, 0, 0), (0, 1, 0)))
 
     def test_csv_roundtrip(self, tmp_path):
         ga = self._gather()
@@ -106,7 +140,7 @@ class TestSerialization:
         write_gather_csv(ga, path)
         back = read_gather_csv(path)
         assert back.labels == ga.labels
-        np.testing.assert_allclose(back.values_matrix(), ga.values_matrix(),
+        np.testing.assert_allclose(back.values, ga.values,
                                    rtol=1e-12)
         assert back.grid.dt == pytest.approx(ga.grid.dt, rel=1e-12)
 
@@ -123,7 +157,7 @@ class TestSerialization:
         write_gather_json(ga, path)
         back = read_gather_json(path)
         assert back.labels == ga.labels
-        np.testing.assert_array_equal(back.values_matrix(), ga.values_matrix())
+        np.testing.assert_array_equal(back.values, ga.values)
         # the JSON document itself is valid and self-describing
         doc = json.loads(path.read_text())
         assert doc["grid"]["n"] == 11

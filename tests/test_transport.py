@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassbayes as wb
-from wassbayes.transport import default_margin
+from wassbayes.transport import _BLOCK_SAMPLES, default_margin
 
 
 def trace_on(grid, values):
@@ -24,6 +24,97 @@ def independent_quantile_fn(dens):
     keep = np.concatenate(([True], np.diff(levels) > 0))
     lv, kn = levels[keep], knots[keep]
     return lambda ps: np.interp(np.minimum(np.asarray(ps), lv[-1]), lv, kn)
+
+
+def reference_w2(grid, f, g, scaling):
+    """The per-trace W2 the row kernel replaced: scale, normalize, invert, sum.
+
+    One trace at a time with 1-D reductions, as the library computed it
+    before gathers became matrices.  Inputs must not trip the library's
+    regime checks, which this copy leaves out.
+    """
+    c = scaling.c
+    if scaling.kind == "linear" and c is None:
+        amp = max(float(np.abs(f).max()), float(np.abs(g).max()), 1.0)
+        margin = 1e-2 * amp
+        low = min(float(f.min()), float(g.min()))
+        c = margin - low if low <= 0 else margin
+
+    def scaled(v):
+        if scaling.kind == "linear":
+            return v + c
+        if scaling.kind == "square":
+            return v * v
+        if scaling.kind == "exponential":
+            return np.exp(c * v)
+        if scaling.kind == "absolute":
+            return np.abs(v)
+        neg = v < 0
+        out = v + 1.0 / c
+        out[neg] = np.exp(c * v[neg])
+        return out
+
+    def normalized(v):
+        w = v / float(v.sum())
+        return w, np.cumsum(w)
+
+    def inverse(cdf, ps):
+        t = grid.times()
+        levels = np.concatenate(([0.0], cdf))
+        knots = np.concatenate(([t[0]], t))
+        p_eff = np.minimum(np.clip(ps, 0.0, None), levels[-1])
+        idx = np.minimum(np.searchsorted(levels, p_eff, side="left"), len(levels) - 1)
+        lo = np.maximum(idx - 1, 0)
+        span = levels[idx] - levels[lo]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(span > 0, (p_eff - levels[lo]) / span, 0.0)
+        out = knots[lo] + frac * (knots[idx] - knots[lo])
+        out = np.where(levels[idx] == p_eff, knots[idx], out)
+        return np.clip(out, t[0], t[-1])
+
+    f_weights, f_cdf = normalized(scaled(np.asarray(f, dtype=np.float64)))
+    _, g_cdf = normalized(scaled(np.asarray(g, dtype=np.float64)))
+    diff = grid.times() - inverse(g_cdf, f_cdf)
+    return float(np.sum(diff * diff * f_weights))
+
+
+def reference_l2(f, g):
+    diff = np.asarray(f, dtype=np.float64) - np.asarray(g, dtype=np.float64)
+    return float(np.sum(diff * diff))
+
+
+ALL_SCALINGS = (wb.Scaling("linear"), wb.Scaling("linear", 10.0),
+                wb.Scaling("square"), wb.Scaling("exponential", 1.0),
+                wb.Scaling("absolute"), wb.Scaling("linexp", 1.0))
+
+
+def oracle_rows(rng, n_rows, n, integer):
+    """Signal pairs with runs of zeros, shared rows and equal-mass rows.
+
+    Zero runs make flat CDF segments; identical rows and integer rows
+    that are permutations of each other make exact CDF level hits.  Every
+    row keeps one nonzero sample, so no scaling meets a zero-mass row.
+    """
+    if integer:
+        f = rng.integers(0, 4, size=(n_rows, n)).astype(np.float64)
+        g = rng.permuted(f, axis=1)
+    else:
+        f, g = rng.normal(size=(2, n_rows, n))
+    for v in (f, g):
+        for r in range(n_rows):
+            if rng.random() < 0.5:
+                a = int(rng.integers(0, n))
+                v[r, a:int(rng.integers(a, n + 1))] = 0.0
+    same = rng.random(n_rows) < 0.2
+    g[same] = f[same]
+    for v in (f, g):
+        v[np.all(v == 0.0, axis=1), 0] = 1.0
+    return f, g
+
+
+def gather_pair(grid, f, g):
+    labels = [(0, r, 0) for r in range(f.shape[0])]
+    return wb.Gather(grid, f, labels), wb.Gather(grid, g, labels)
 
 
 def quadrature_w2(f_dens, g_dens, n_nodes=200_000):
@@ -230,11 +321,11 @@ class TestW2Distance:
         rng = np.random.default_rng(9)
         for _ in range(10):
             g = wb.make_grid(0, 5, 64)
-            fd = wb.normalize(trace_on(g, rng.uniform(0.05, 1.0, 64)))
-            gd = wb.normalize(trace_on(g, rng.uniform(0.05, 1.0, 64)))
-            ev = wb.transport_eval(fd, gd)
-            assert np.all(np.diff(ev.map_values) >= -1e-12)
-            assert ev.distance >= 0.0
+            f = trace_on(g, rng.uniform(0.05, 1.0, 64))
+            h = trace_on(g, rng.uniform(0.05, 1.0, 64))
+            transport_map = wb.quantiles(wb.normalize(h), wb.normalize(f).cdf)
+            assert np.all(np.diff(transport_map) >= -1e-12)
+            assert wb.w2_distance(f, h, wb.Scaling("absolute")) >= 0.0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
@@ -253,23 +344,41 @@ class TestGatherDistances:
     def _pair(self):
         g = wb.make_grid(0, 5, 51)
         t = g.times()
-        mk = lambda c: wb.Trace(g, np.exp(-((t - c) ** 2)))
-        fa = wb.Gather(traces=(mk(1.0), mk(2.0)), labels=((0, 0, 0), (0, 1, 0)))
-        gb = wb.Gather(traces=(mk(1.5), mk(2.5)), labels=((0, 0, 0), (0, 1, 0)))
-        return fa, gb
+        rows = lambda *cs: np.array([np.exp(-((t - c) ** 2)) for c in cs])
+        labels = ((0, 0, 0), (0, 1, 0))
+        return wb.Gather(g, rows(1.0, 2.0), labels), wb.Gather(g, rows(1.5, 2.5), labels)
 
-    def test_multi_trace_sum(self):
+    def test_gather_rows_match_trace_distances(self):
         fa, gb = self._pair()
         sc = wb.Scaling("absolute")
-        total = wb.multi_trace_w2(fa, gb, sc)
-        parts = [wb.w2_distance(tr, gb.trace_for(lab), sc) for lab, tr in fa.items()]
-        assert total == pytest.approx(sum(parts), rel=1e-12)
+        per_row = wb.w2_distance(fa, gb, sc)
+        parts = [wb.w2_distance(fa.trace_for(lab), gb.trace_for(lab), sc)
+                 for lab in fa.labels]
+        assert per_row.shape == (2,)
+        assert per_row.tolist() == parts
 
     def test_label_mismatch_rejected(self):
         fa, gb = self._pair()
-        other = wb.Gather(traces=gb.traces, labels=((0, 0, 0), (0, 2, 0)))
+        other = wb.Gather(gb.grid, gb.values, ((0, 0, 0), (0, 2, 0)))
         with pytest.raises(ValueError):
-            wb.multi_trace_w2(fa, other, wb.Scaling("absolute"))
+            wb.w2_distance(fa, other, wb.Scaling("absolute"))
+        with pytest.raises(ValueError):
+            wb.l2_distance(fa, other)
+
+    def test_mixed_trace_and_gather_rejected(self):
+        fa, _ = self._pair()
+        with pytest.raises(TypeError):
+            wb.w2_distance(fa, fa.trace_for((0, 0, 0)), wb.Scaling("absolute"))
+
+    def test_failing_row_raises_for_the_gather(self):
+        g = wb.make_grid(0, 1, 4)
+        labels = ((0, 0, 0), (0, 1, 0))
+        ok = wb.Gather(g, np.ones((2, 4)), labels)
+        dead = wb.Gather(g, [[1.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]], labels)
+        with pytest.raises(wb.ComputeError):
+            wb.w2_distance(ok, dead, wb.Scaling("absolute"))
+        with pytest.raises(wb.ComputeError):
+            wb.w2_distance(ok, dead, wb.Scaling("linear", -0.5))
 
     def test_l2_constant_offset(self):
         g = wb.make_grid(0, 5, 101)
@@ -282,3 +391,47 @@ class TestGatherDistances:
         h = wb.Trace(wb.make_grid(0, 2, 5), np.zeros(5))
         with pytest.raises(ValueError):
             wb.l2_distance(f, h)
+
+
+class TestRowKernelOracle:
+    """Gather distances equal the per-trace reference bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=2, max_value=300),
+           st.sampled_from(ALL_SCALINGS),
+           st.booleans())
+    def test_w2_matches_reference(self, seed, n_rows, n, scaling, integer):
+        rng = np.random.default_rng(seed)
+        grid = wb.make_grid(0.0, 3.0, n)
+        f, g = oracle_rows(rng, n_rows, n, integer)
+        got = wb.w2_distance(*gather_pair(grid, f, g), scaling)
+        ref = [reference_w2(grid, f[r], g[r], scaling) for r in range(n_rows)]
+        assert got.tolist() == ref
+        assert wb.w2_distance(wb.Trace(grid, f[0]), wb.Trace(grid, g[0]),
+                              scaling) == ref[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=2, max_value=300))
+    def test_l2_matches_reference(self, seed, n_rows, n):
+        rng = np.random.default_rng(seed)
+        grid = wb.make_grid(0.0, 3.0, n)
+        f, g = oracle_rows(rng, n_rows, n, integer=False)
+        got = wb.l2_distance(*gather_pair(grid, f, g))
+        assert got.tolist() == [reference_l2(f[r], g[r]) for r in range(n_rows)]
+
+    @pytest.mark.parametrize("scaling", ALL_SCALINGS, ids=lambda sc: f"{sc.kind}-{sc.c}")
+    def test_more_than_one_block(self, scaling):
+        n_rows, n = 130, 300
+        assert n_rows * n > _BLOCK_SAMPLES
+        rng = np.random.default_rng(17)
+        grid = wb.make_grid(0.0, 3.0, n)
+        f, g = oracle_rows(rng, n_rows, n, integer=False)
+        fa, gb = gather_pair(grid, f, g)
+        ref = [reference_w2(grid, f[r], g[r], scaling) for r in range(n_rows)]
+        assert wb.w2_distance(fa, gb, scaling).tolist() == ref
+        assert wb.l2_distance(fa, gb).tolist() == [
+            reference_l2(f[r], g[r]) for r in range(n_rows)]
