@@ -21,10 +21,9 @@ from .sampler import (Chain, ChainSchedule, ChainState, PosteriorSummary,
                       gibbs_posterior_params, gibbs_update_s, mh_step,
                       posterior_summary, run_chain)
 from .forward import (AcousticModel, DalembertModel, SolveResult,
-                      acoustic_simulate, acoustic_simulate_all,
-                      dalembert_simulate, discrete_energy, face_coefficients,
-                      inset_positions, leapfrog_solve, pulse_profile,
-                      ricker_source, ricker_wavelet,
+                      acoustic_simulate, dalembert_simulate, discrete_energy,
+                      face_coefficients, inset_positions, leapfrog_solve,
+                      pulse_profile, ricker_source, ricker_wavelet,
                       surface_lateral_receiver_layout)
 from .scenarios import (ForwardBundle, Scenario, apply_overrides,
                         build_forward, build_problem, builtin_config,
@@ -54,10 +53,9 @@ __all__ = [
     "gibbs_posterior_params", "gibbs_update_s", "mh_step",
     "posterior_summary", "run_chain",
     "AcousticModel", "DalembertModel", "SolveResult", "acoustic_simulate",
-    "acoustic_simulate_all", "dalembert_simulate", "discrete_energy",
-    "face_coefficients", "inset_positions", "leapfrog_solve",
-    "pulse_profile", "ricker_source", "ricker_wavelet",
-    "surface_lateral_receiver_layout",
+    "dalembert_simulate", "discrete_energy", "face_coefficients",
+    "inset_positions", "leapfrog_solve", "pulse_profile", "ricker_source",
+    "ricker_wavelet", "surface_lateral_receiver_layout",
     "ForwardBundle", "Scenario", "apply_overrides", "build_forward",
     "build_problem", "builtin_config", "builtin_names",
     "chain_seed_sequence", "config_fingerprint", "data_noise_rng",

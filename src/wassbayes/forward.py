@@ -21,7 +21,8 @@ is an explicit second-order leapfrog on a uniform node grid: a^2 is sampled
 at cell centers and averaged arithmetically onto cell faces, giving the
 standard conservative five-point stencil.  Stability requires
 max(theta) * dt * sqrt(2) / dx < 1.  The point source is a Ricker-type
-wavelet applied uniformly on a small square patch of nodes.
+wavelet applied uniformly on a small square patch of nodes.  All sources
+of a model are stepped together in one batched, in-place kernel.
 """
 from __future__ import annotations
 
@@ -241,23 +242,124 @@ def face_coefficients(c2_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ax, ay
 
 
-def _apply_operator(u: np.ndarray, ax: np.ndarray, ay: np.ndarray,
-                    inv_dx2: float) -> np.ndarray:
-    """div(a^2 grad u) on interior nodes, shape (nx-1, nz-1)."""
-    core = u[1:-1, 1:-1]
-    flux = ax[1:, :] * (u[2:, 1:-1] - core)
-    flux -= ax[:-1, :] * (core - u[:-2, 1:-1])
-    flux += ay[:, 1:] * (u[1:-1, 2:] - core)
-    flux -= ay[:, :-1] * (core - u[1:-1, :-2])
-    return flux * inv_dx2
-
-
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     records: np.ndarray          # (n_record_times, n_receivers)
     final: np.ndarray            # u at the last step
     previous: np.ndarray         # u one step before the last
     energies: np.ndarray | None  # midpoint energy per step, if collected
+
+
+def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
+              patches, series: np.ndarray | None, record_idx: np.ndarray,
+              record_every: int, u0: np.ndarray | None = None,
+              v0: np.ndarray | None = None,
+              field_forcing: Callable[[float], np.ndarray] | None = None,
+              collect_energy: bool = False):
+    """One leapfrog solve per forcing patch, all stepped together in place.
+
+    Source s owns nodes s*N .. (s+1)*N - 1 of one flat buffer, node (i, j)
+    at offset i*(nz+1) + j, so the neighbours sit at offsets +-(nz+1) and
+    +-1 and the update runs over one contiguous range.  Face coefficients
+    are stored on the face's lower node, and the face terms are multiplied
+    by 1/dx^2 on interior nodes and by 0 on Dirichlet nodes: the walls stay
+    exactly 0 and nothing leaks across a wrap into the next row or source.
+    Per interior node the operations and their order are the per-source
+    stencil's, so the bits are too; each face product serves both of its
+    nodes.  With zero initial data the state never holds -0.0, so adding F
+    on the patch nodes only matches adding a forcing array that is 0.0
+    elsewhere; with initial data or a field forcing F is built on every node.
+
+    Returns the (S * R, n_records) records (row s*R + r: receiver r of
+    source s), the last two flat states and the energies (one source only).
+    """
+    nx, nz = c2_cells.shape
+    shape = (nx + 1, nz + 1)
+    m = nz + 1
+    n_nodes = (nx + 1) * m
+    total = len(patches) * n_nodes
+    lo, hi = m, total - m
+    ax, ay = face_coefficients(c2_cells)
+    coef = np.zeros((3, len(patches)) + shape)
+    coef[0, :, :-1, 1:-1] = ax   # face (i, j)-(i+1, j), stored at (i, j)
+    coef[1, :, 1:-1, :-1] = ay   # face (i, j)-(i, j+1), stored at (i, j)
+    coef[2, :, 1:-1, 1:-1] = 1.0 / (dx * dx)
+    coef = coef.reshape(3, total)
+    face_x, face_y, scale = coef[0, lo - m:hi], coef[1, lo - 1:hi], coef[2, lo:hi]
+    flux_x = np.empty(hi - lo + m)
+    flux_y = np.empty(hi - lo + 1)
+    lap = np.empty(hi - lo)
+    state = np.zeros((3, total))
+    u_prev, u, u_next = state
+    patch = np.concatenate([s * n_nodes + ii * m + jj
+                            for s, (ii, jj) in enumerate(patches)]) - lo
+    dense = u0 is not None or v0 is not None or field_forcing is not None
+    force = np.zeros(total) if dense else None
+
+    def apply_operator(v: np.ndarray, step: int) -> None:
+        """lap <- div(a^2 grad v) + F(step) on nodes lo .. hi - 1."""
+        np.subtract(v[lo:hi + m], v[lo - m:hi], out=flux_x)
+        np.multiply(flux_x, face_x, out=flux_x)
+        np.subtract(v[lo:hi + 1], v[lo - 1:hi], out=flux_y)
+        np.multiply(flux_y, face_y, out=flux_y)
+        np.subtract(flux_x[m:], flux_x[:-m], out=lap)
+        np.add(lap, flux_y[1:], out=lap)
+        np.subtract(lap, flux_y[:-1], out=lap)
+        np.multiply(lap, scale, out=lap)
+        if dense:
+            force.fill(0.0)
+            if field_forcing is not None:
+                field = np.broadcast_to(field_forcing(step * dt), shape)
+                force.reshape(shape)[1:-1, 1:-1] += field[1:-1, 1:-1]
+            if series is not None:
+                force[lo:hi][patch] += series[step]
+            np.add(lap, force[lo:hi], out=lap)
+        elif series is not None:
+            lap[patch] += series[step]
+
+    rec_nodes = (np.arange(len(patches))[:, None] * n_nodes
+                 + record_idx[:, 0] * m + record_idx[:, 1]).ravel()
+    records = np.empty((rec_nodes.size, n_steps // record_every + 1))
+    energies = np.empty(n_steps) if collect_energy else None
+
+    def record(step: int, v: np.ndarray) -> None:
+        if step % record_every == 0:
+            records[:, step // record_every] = v[rec_nodes]
+
+    if u0 is not None:
+        grid_prev = u_prev.reshape(shape)
+        grid_prev[...] = u0
+        grid_prev[0, :] = grid_prev[-1, :] = 0.0
+        grid_prev[:, 0] = grid_prev[:, -1] = 0.0
+    record(0, u_prev)
+
+    # Taylor first step keeps the scheme second-order for nonzero (u0, v0)
+    u[:] = u_prev
+    if v0 is not None:
+        v0 = np.asarray(v0, dtype=np.float64)
+        u.reshape(shape)[1:-1, 1:-1] += dt * v0[1:-1, 1:-1]
+    apply_operator(u_prev, 0)
+    np.multiply(lap, 0.5 * dt * dt, out=lap)
+    u[lo:hi] += lap
+    if collect_energy:
+        energies[0] = discrete_energy(u_prev.reshape(shape), u.reshape(shape),
+                                      ax, ay, dx, dt)
+    record(1, u)
+
+    dt2 = dt * dt
+    twice = flux_x[:hi - lo]  # free once lap is formed
+    for n in range(1, n_steps):
+        apply_operator(u, n)
+        np.multiply(lap, dt2, out=lap)
+        np.multiply(u[lo:hi], 2.0, out=twice)
+        np.subtract(twice, u_prev[lo:hi], out=twice)
+        np.add(twice, lap, out=u_next[lo:hi])
+        u_prev, u, u_next = u, u_next, u_prev
+        if collect_energy:
+            energies[n] = discrete_energy(u_prev.reshape(shape), u.reshape(shape),
+                                          ax, ay, dx, dt)
+        record(n + 1, u)
+    return records, u, u_prev, energies
 
 
 def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
@@ -275,71 +377,31 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     source_series[n] spread over source_nodes and field_forcing(n*dt) when
     given.  Initial data (u0, v0) default to zero; the first step uses the
     Taylor start u^1 = u^0 + dt v^0 + dt^2/2 (L u^0 + F^0), which keeps the
-    scheme second-order for nonzero initial data.
+    scheme second-order for nonzero initial data.  record_idx holds (i, j)
+    node indices to record every record_every steps.
     """
-    nx, nz = c2_cells.shape[0], c2_cells.shape[1]
-    shape = (nx + 1, nz + 1)
-    ax, ay = face_coefficients(c2_cells)
-    inv_dx2 = 1.0 / (dx * dx)
-
-    u_prev = np.zeros(shape) if u0 is None else np.array(u0, dtype=np.float64)
-    if u_prev.shape != shape:
-        raise ValueError(f"u0 must have shape {shape}, got {u_prev.shape}")
-    u_prev[0, :] = u_prev[-1, :] = 0.0
-    u_prev[:, 0] = u_prev[:, -1] = 0.0
-
+    shape = (c2_cells.shape[0] + 1, c2_cells.shape[1] + 1)
+    for name, data in (("u0", u0), ("v0", v0)):
+        if data is not None and np.shape(data) != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {np.shape(data)}")
     if n_steps < 1:
         raise ValueError("need at least one time step")
-
-    def forcing(step: int) -> np.ndarray | float:
-        if field_forcing is None and source_series is None:
-            return 0.0
-        f = np.zeros(shape)
-        if field_forcing is not None:
-            f += field_forcing(step * dt)
-        if source_series is not None and source_nodes is not None:
-            f[source_nodes] += source_series[step]
-        return f[1:-1, 1:-1]
-
-    n_records = n_steps // record_every + 1
-    n_rec_nodes = 0 if record_idx is None else record_idx.shape[0]
-    records = np.zeros((n_records, n_rec_nodes))
-    rec_count = 0
-
-    def record(step: int, u: np.ndarray):
-        nonlocal rec_count
-        if step % record_every == 0:
-            if record_idx is not None:
-                records[rec_count] = u[record_idx[:, 0], record_idx[:, 1]]
-            rec_count += 1
-
-    energies = np.empty(n_steps) if collect_energy else None
-
-    record(0, u_prev)
-
-    # Taylor first step keeps the scheme second-order for nonzero (u0, v0)
-    u = u_prev.copy()
-    if v0 is not None:
-        u[1:-1, 1:-1] += dt * np.asarray(v0, dtype=np.float64)[1:-1, 1:-1]
-    u[1:-1, 1:-1] += 0.5 * dt * dt * (
-        _apply_operator(u_prev, ax, ay, inv_dx2) + forcing(0))
-    if collect_energy:
-        energies[0] = discrete_energy(u_prev, u, ax, ay, dx, dt)
-    record(1, u)
-
-    for n in range(1, n_steps):
-        lap = _apply_operator(u, ax, ay, inv_dx2)
-        u_next = np.zeros(shape)
-        u_next[1:-1, 1:-1] = (2.0 * u[1:-1, 1:-1] - u_prev[1:-1, 1:-1]
-                              + dt * dt * (lap + forcing(n)))
-        u_prev, u = u, u_next
-        if collect_energy:
-            energies[n] = discrete_energy(u_prev, u, ax, ay, dx, dt)
-        record(n + 1, u)
-
-    if rec_count != n_records:
-        raise AssertionError("recording miscounted")
-    return SolveResult(records=records, final=u, previous=u_prev, energies=energies)
+    rec = (np.zeros((0, 2), dtype=np.int64) if record_idx is None
+           else np.asarray(record_idx, dtype=np.int64))
+    if rec.ndim != 2 or rec.shape[1] != 2 or not ((rec >= 0) & (rec < shape)).all():
+        raise ValueError(f"record_idx must hold (i, j) node indices inside {shape}")
+    ii, jj = (np.zeros(0, dtype=np.int64),) * 2
+    if source_nodes is not None and source_series is not None:
+        ii, jj = (np.asarray(k, dtype=np.int64).ravel() for k in source_nodes)
+        inside = (ii >= 1) & (ii < shape[0] - 1) & (jj >= 1) & (jj < shape[1] - 1)
+        ii, jj = ii[inside], jj[inside]  # the walls hold u = 0: no forcing there
+    else:
+        source_series = None
+    records, final, previous, energies = _leapfrog(
+        c2_cells, dx, dt, n_steps, [(ii, jj)], source_series, rec,
+        record_every, u0, v0, field_forcing, collect_energy)
+    return SolveResult(records=records.T, final=final.reshape(shape),
+                       previous=previous.reshape(shape), energies=energies)
 
 
 def discrete_energy(u_a: np.ndarray, u_b: np.ndarray, ax: np.ndarray,
@@ -355,26 +417,26 @@ def discrete_energy(u_a: np.ndarray, u_b: np.ndarray, ax: np.ndarray,
     return kinetic + potential
 
 
-def acoustic_simulate(model: AcousticModel, theta: np.ndarray,
-                      source_index: int) -> Gather:
-    """Traces at the model receivers for one source, zero initial data."""
+def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
+    """Traces at the model receivers for every source, zero initial data.
+
+    All sources are stepped together; row s*R + r of the gather is receiver
+    r of source s, labelled (s, r, 0).
+    """
     model.check_cfl(theta)
+    patches = [model.source_nodes(k) for k in range(len(model.sources))]
+    for k, (ii, _) in enumerate(patches):
+        if ii.size == 0:
+            raise ComputeError(f"source {k} patch holds no interior node")
     c2 = model.cell_speeds_squared(theta)
     n_steps = (model.grid.n - 1) * model._decim
     series = ricker_wavelet(model.solver_dt * np.arange(n_steps + 1))
-    ii, jj = model.source_nodes(source_index)
-    if ii.size == 0:
-        raise ComputeError(f"source {source_index} patch holds no interior node")
-    result = leapfrog_solve(
-        c2, model.dx, model.solver_dt, n_steps,
-        source_nodes=(ii, jj), source_series=series,
-        record_idx=model._rec_idx, record_every=model._decim)
-    labels = tuple((source_index, r, 0) for r in range(len(model.receivers)))
-    return Gather(model.grid, result.records.T, labels)
-
-
-def acoustic_simulate_all(model: AcousticModel, theta: np.ndarray) -> list[Gather]:
-    return [acoustic_simulate(model, theta, k) for k in range(len(model.sources))]
+    records, *_ = _leapfrog(c2, model.dx, model.solver_dt, n_steps, patches,
+                            series, model._rec_idx, model._decim)
+    records.setflags(write=False)  # owned and frozen: kept without a copy
+    labels = tuple((s, r, 0) for s in range(len(model.sources))
+                   for r in range(len(model.receivers)))
+    return Gather(model.grid, records, labels)
 
 
 def surface_lateral_receiver_layout(dx_surface: float = 0.02,

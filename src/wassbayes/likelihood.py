@@ -104,26 +104,32 @@ def conjugate_gamma_increments(model: LikelihoodModel,
     return 0.5 * model.n_obs, 0.5 * total_misfit
 
 
-def landscape_scan_1d(model: LikelihoodModel,
+def landscape_scan_1d(models: Sequence[LikelihoodModel],
                       forward: Callable[[np.ndarray], Gather],
                       obs: Gather,
                       param_index: int,
                       grid: Sequence[float],
                       fixed_theta: np.ndarray,
                       s_ref: float) -> np.ndarray:
-    """Log likelihood along one parameter axis, everything else held fixed.
+    """Log likelihoods along one parameter axis, everything else held fixed.
 
-    Forward-model failures at a grid point yield NaN for that point rather
-    than aborting the scan.
+    Returns shape (len(grid), len(models)); every model is evaluated on the
+    one forward run made per grid point.  A forward-model failure at a grid
+    point yields NaN for every model there, a likelihood failure NaN for
+    that model, rather than aborting the scan.
     """
     fixed_theta = np.asarray(fixed_theta, dtype=np.float64)
-    out = np.empty(len(grid))
+    out = np.full((len(grid), len(models)), np.nan)
     for k, value in enumerate(grid):
         theta = fixed_theta.copy()
         theta[param_index] = value
         try:
             sim = forward(theta)
-            out[k], _ = log_likelihood(model, sim, obs, s_ref)
         except Exception:
-            out[k] = np.nan
+            continue
+        for j, model in enumerate(models):
+            try:
+                out[k, j], _ = log_likelihood(model, sim, obs, s_ref)
+            except Exception:
+                pass
     return out

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ComputeError, ConfigError, HealthCheckError
-from .forward import (AcousticModel, DalembertModel, acoustic_simulate_all,
+from .forward import (AcousticModel, DalembertModel, acoustic_simulate,
                       dalembert_simulate, inset_positions,
                       surface_lateral_receiver_layout)
 from .likelihood import (KIND_EXP_W2, KIND_GAUSS_L2, LikelihoodModel,
@@ -38,7 +38,7 @@ from .likelihood import (KIND_EXP_W2, KIND_GAUSS_L2, LikelihoodModel,
 from .noise import NoiseSpec, pollute
 from .priors import GammaPrior, ProposalSpec, UniformBoxPrior
 from .sampler import Chain, ChainSchedule, Problem, check_adaptation, run_chain
-from .signals import Gather, TimeGrid, Trace, make_grid, merge_gathers, write_gather_csv
+from .signals import Gather, TimeGrid, Trace, make_grid, write_gather_csv
 from .transport import Scaling
 
 KIND_INVERSION = "inversion"
@@ -318,7 +318,7 @@ def build_forward(fwd: dict) -> ForwardBundle:
                 block_rows=int(_need(fwd, "block_rows", "forward.")),
                 block_cols=int(_need(fwd, "block_cols", "forward.")))
             return ForwardBundle(
-                simulate=lambda theta: merge_gathers(acoustic_simulate_all(model, theta)),
+                simulate=lambda theta: acoustic_simulate(model, theta),
                 n_params=model.n_params, grid=grid,
                 block_layout=(model.block_rows, model.block_cols))
         if kind == "constant":
@@ -621,12 +621,9 @@ def run_landscape(scenario: Scenario, out_dir: str | Path,
     idx = int(land["param_index"])
     s_ref = float(land["s_ref"])
 
-    def scan_one(value: float) -> tuple[float, float]:
-        exp_val = landscape_scan_1d(exp_model, bundle.simulate, noisy, idx,
-                                    [value], fixed, s_ref)[0]
-        norm_val = landscape_scan_1d(norm_model, bundle.simulate, noisy, idx,
-                                     [value], fixed, s_ref)[0]
-        return float(exp_val), float(norm_val)
+    def scan_one(value: float) -> np.ndarray:
+        return landscape_scan_1d((exp_model, norm_model), bundle.simulate,
+                                 noisy, idx, [value], fixed, s_ref)[0]
 
     pairs = _parallel_map(scan_one, values, threads)
     rows = [[_fmt(v), _fmt(e), _fmt(n)] for v, (e, n) in zip(values, pairs)]

@@ -258,8 +258,9 @@ def test_criterion_07_acoustic_solver_second_order(capsys):
 def test_criterion_08_two_block_tomography(capsys):
     # the small acoustic inversion (2 blocks, 2 sources, 41 receivers,
     # 4000/2000/2 schedule) recovers both speeds within 10% on at least
-    # 2 of 3 fixed seeds.  This is the long test of the suite: roughly
-    # three minutes per seed, all of it finite-difference forward solves.
+    # 2 of 3 fixed seeds.  This is the long test of the suite: about a
+    # minute per seed (164 s for the three on a 2-core host), most of it
+    # finite-difference forward solves.
     started = time.perf_counter()
     seeds = (1, 2, 3)
     hits, details = 0, []

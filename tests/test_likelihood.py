@@ -143,8 +143,8 @@ class TestLandscape:
         obs = forward(np.array([4.0]))
         model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)
         scan = np.linspace(2.0, 6.0, 21)
-        vals = wb.landscape_scan_1d(model, forward, obs, 0, scan,
-                                    np.array([0.0]), s_ref=1.0)
+        vals = wb.landscape_scan_1d([model], forward, obs, 0, scan,
+                                    np.array([0.0]), s_ref=1.0)[:, 0]
         assert np.isfinite(vals).all()
         assert scan[np.argmax(vals)] == pytest.approx(4.0)
 
@@ -158,7 +158,26 @@ class TestLandscape:
 
         obs = forward(np.array([2.0]))
         model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)
-        vals = wb.landscape_scan_1d(model, forward, obs, 0, [2.0, 5.0],
+        w2 = wb.LikelihoodModel(kind=wb.KIND_EXP_W2, n_obs=11,
+                                scaling=wb.Scaling("linear", 1.0))
+        vals = wb.landscape_scan_1d([model, w2], forward, obs, 0, [2.0, 5.0],
                                     np.array([0.0]), s_ref=1.0)
-        assert np.isfinite(vals[0])
-        assert np.isnan(vals[1])
+        assert vals.shape == (2, 2)
+        assert np.isfinite(vals[0]).all()
+        assert np.isnan(vals[1]).all()
+
+    def test_likelihood_failure_yields_nan_for_that_model_only(self):
+        grid = wb.make_grid(0.0, 1.0, 11)
+
+        def forward(theta):
+            return wb.Gather(grid, np.full((1, 11), theta[0]), [(0, 0, 0)])
+
+        obs = forward(np.array([2.0]))
+        l2 = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)
+        # a linear shift of 1 leaves -3 negative: the W2 scaling fails
+        w2 = wb.LikelihoodModel(kind=wb.KIND_EXP_W2, n_obs=11,
+                                scaling=wb.Scaling("linear", 1.0))
+        vals = wb.landscape_scan_1d([w2, l2], forward, obs, 0, [-3.0],
+                                    np.array([0.0]), s_ref=1.0)
+        assert np.isnan(vals[0, 0])
+        assert np.isfinite(vals[0, 1])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import wassbayes as wb
+from wassbayes import scenarios
 from wassbayes.cli import main
 from wassbayes.errors import ComputeError, ConfigError
 
@@ -493,6 +495,29 @@ class TestRunLandscape:
         assert lines[0] == "param_value,log_exp,log_norm"
         assert len(lines) == 2
         assert result["n_points"] == 1
+
+    def test_one_forward_run_per_point(self, tmp_path, monkeypatch):
+        calls = []
+        build = scenarios.build_forward
+
+        def counting_build(fwd):
+            bundle = build(fwd)
+            calls.append(0)
+            slot = len(calls) - 1
+
+            def simulate(theta):
+                calls[slot] += 1
+                return bundle.simulate(theta)
+
+            return dataclasses.replace(bundle, simulate=simulate)
+
+        monkeypatch.setattr(scenarios, "build_forward", counting_build)
+        cfg = minimal_config(landscape={
+            "param_index": 0, "start": 0.0, "stop": 2.0, "step": 0.25,
+            "fixed_theta": [1.0], "s_ref": 2.0})
+        result = wb.run_landscape(wb.scenario_from_config(cfg), tmp_path)
+        # the last bundle built is the scan's; the ones before it synthesize
+        assert calls[-1] == result["n_points"] == 9
 
     def test_curves_peak_at_truth(self, tmp_path):
         cfg = minimal_config(noise=None, landscape={
