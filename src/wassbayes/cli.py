@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE",
                        help="dotted-path config override, may repeat")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for landscape / scaling-study grids")
     return parser
 
 
@@ -73,9 +71,9 @@ def _dispatch(args: argparse.Namespace, scenario: Scenario) -> dict:
     if args.command == "simulate":
         return run_simulate(scenario, out)
     if args.command == "landscape":
-        return run_landscape(scenario, out, threads=args.threads)
+        return run_landscape(scenario, out)
     if args.command == "scaling-study":
-        return run_scaling_study(scenario, out, threads=args.threads)
+        return run_scaling_study(scenario, out)
     if args.command == "summarize":
         return summarize_run(scenario, out)
     raise AssertionError(f"unhandled verb {args.command}")

@@ -103,15 +103,6 @@ def ricker_wavelet(t) -> np.ndarray:
     return 1e3 * (1.0 - 20.0 * u * u) * np.exp(-10.0 * u * u)
 
 
-def ricker_source(t, x, center) -> np.ndarray:
-    """Wavelet value at time t and position x = (x1, x2) for a patch at center."""
-    x = np.asarray(x, dtype=np.float64)
-    c = np.asarray(center, dtype=np.float64)
-    inside = ((np.abs(x[..., 0] - c[0]) <= SOURCE_HALF_WIDTH + _SNAP_TOL)
-              & (np.abs(x[..., 1] - c[1]) <= SOURCE_HALF_WIDTH + _SNAP_TOL))
-    return np.where(inside, ricker_wavelet(t), 0.0)
-
-
 def _snap_index(coord: float, origin: float, dx: float, n_nodes: int, what: str) -> int:
     idx = round((coord - origin) / dx)
     if not 0 <= idx < n_nodes or abs(origin + idx * dx - coord) > _SNAP_TOL:

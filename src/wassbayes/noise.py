@@ -52,37 +52,3 @@ def pollute(gather: Gather, spec: NoiseSpec, rng: np.random.Generator) -> Gather
         eps2 = 0.0
     return gather.with_values(eps1 * clean + eps2)
 
-
-@dataclass(frozen=True)
-class NoiseMoments:
-    mult_mean: float
-    mult_var: float
-    add_mean: float
-    add_var: float
-    n_mult_samples: int
-
-
-def empirical_noise_moments(clean: Gather, noisy: Gather,
-                            threshold_frac: float = 0.01) -> NoiseMoments:
-    """Moment diagnostics of the realized noise fields.
-
-    Multiplicative residuals noisy/clean are collected where |clean| exceeds
-    threshold_frac * max|clean| (elsewhere the ratio is dominated by the
-    additive part); additive residuals noisy - clean use every sample.
-    """
-    c = clean.values
-    g = noisy.values
-    if c.shape != g.shape:
-        raise ValueError("gathers must have matching shapes")
-    mask = np.abs(c) > threshold_frac * np.abs(c).max()
-    if not mask.any():
-        raise ValueError("no samples above the ratio threshold")
-    ratio = g[mask] / c[mask]
-    resid = (g - c).ravel()
-    return NoiseMoments(
-        mult_mean=float(ratio.mean()),
-        mult_var=float(ratio.var(ddof=1)),
-        add_mean=float(resid.mean()),
-        add_var=float(resid.var(ddof=1)),
-        n_mult_samples=int(mask.sum()),
-    )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -244,21 +244,3 @@ def run_chain(problem: Problem, schedule: ChainSchedule) -> Chain:
     return Chain(thetas=thetas, s_values=s_values, iterations=iterations,
                  accepted_flags=accepted_flags, schedule=schedule)
 
-
-@dataclass(frozen=True, eq=False)
-class PosteriorSummary:
-    mean: float
-    std: float
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-
-
-def posterior_summary(values: np.ndarray, bins: int = 40) -> PosteriorSummary:
-    """Sample mean, sample std (ddof=1), and histogram of one marginal."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("need a 1-D array with at least 2 samples")
-    counts, edges = np.histogram(values, bins=bins)
-    return PosteriorSummary(mean=float(values.mean()),
-                            std=float(values.std(ddof=1)),
-                            hist_counts=counts, hist_edges=edges)

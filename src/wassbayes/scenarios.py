@@ -5,7 +5,8 @@ experiment: forward model geometry, the true parameter vector used to
 synthesize data, the noise recipe, likelihood, priors, proposal,
 schedule, and a master seed.  Built-in scenarios cover the standard
 benchmark setups; user files follow the same schema and pass through
-the same validation path.
+the same compile path, which checks the config and builds every model
+object the stages use, once.
 
 Reproducibility: the master seed fans out through numpy SeedSequence
 spawn keys -- (0,) drives data-noise generation, (1,) drives the chain.
@@ -22,8 +23,7 @@ import copy
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -39,7 +39,7 @@ from .noise import NoiseSpec, pollute
 from .priors import GammaPrior, ProposalSpec, UniformBoxPrior
 from .sampler import Chain, ChainSchedule, Problem, check_adaptation, run_chain
 from .signals import Gather, TimeGrid, Trace, make_grid, write_gather_csv
-from .transport import Scaling
+from .transport import Scaling, l2_distance, w2_distance
 
 KIND_INVERSION = "inversion"
 KIND_SCALING_STUDY = "scaling-study"
@@ -58,15 +58,59 @@ def _write_rows(path: Path, header: str, rows) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scenario container and validation
+# Scenario container and compilation
+
+@dataclass(frozen=True, eq=False)
+class _Landscape:
+    """Scan of parameter param_index over values, the others at fixed_theta."""
+
+    param_index: int
+    values: np.ndarray
+    fixed_theta: np.ndarray
+    s_ref: float
+
+
+@dataclass(frozen=True, eq=False)
+class _Inversion:
+    """The model objects of an inversion scenario."""
+
+    forward: ForwardBundle
+    theta_prior: UniformBoxPrior
+    likelihood: LikelihoodModel
+    s_update: str
+    s_prior: GammaPrior | None
+    proposal: ProposalSpec
+    theta_true: np.ndarray
+    theta0: np.ndarray
+    s0: float
+    schedule: ChainSchedule  # seeded with chain_seed_sequence(seed)
+    noise: NoiseSpec | None
+    landscape: _Landscape | None
+
+
+@dataclass(frozen=True, eq=False)
+class _ScalingStudy:
+    """The signal grid, the shifts and one Scaling per STUDY_SCALINGS entry."""
+
+    grid: TimeGrid
+    delta: float
+    shifts: np.ndarray
+    scalings: tuple[Scaling, ...]
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A validated, fully-resolved experiment configuration."""
+    """A validated, fully-resolved experiment configuration.
+
+    ``compiled`` holds the model objects built from ``config``; every stage
+    reads them, so a scenario is parsed and built once.  They carry no
+    state from one run to the next.
+    """
 
     name: str
     kind: str
     config: dict
+    compiled: _Inversion | _ScalingStudy = field(repr=False)
 
     @property
     def fingerprint(self) -> str:
@@ -79,9 +123,24 @@ def config_fingerprint(cfg: dict) -> str:
 
 
 def _need(cfg: dict, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where.rstrip('.') or 'scenario config'} must be a mapping")
     if key not in cfg:
         raise ConfigError(f"missing required field {where}{key}")
     return cfg[key]
+
+
+def _number(cfg: dict, key: str, where: str, kind=float):
+    """cfg[key] converted by kind; a malformed value names its dotted path."""
+    value = _need(cfg, key, where)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}{key} must be a number, got {value!r}") from None
+
+
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
 
 
 def _as_float_list(value, where: str) -> list[float]:
@@ -94,8 +153,27 @@ def _as_float_list(value, where: str) -> list[float]:
     return out
 
 
+def _frozen(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
+def _range_fields(cfg: dict, where: str) -> tuple[float, float, float]:
+    return tuple(_number(cfg, key, where) for key in ("start", "stop", "step"))
+
+
+def _range_values(start: float, stop: float, step: float) -> np.ndarray:
+    n_points = int(round((stop - start) / step)) + 1
+    return _frozen(start + step * np.arange(n_points))
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
-    """The single validation path: every scenario, built-in or file, runs through here."""
+    """The single compile path: every scenario, built-in or file, runs through here.
+
+    Checks the config, fills in its defaults (the resolved config is what
+    the fingerprint hashes) and builds the model objects the stages use.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError("scenario config must be a mapping")
     cfg = copy.deepcopy(cfg)
@@ -104,43 +182,43 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ConfigError("name must be a non-empty string")
     if kind == KIND_SCALING_STUDY:
-        _validate_scaling_study(cfg)
+        compiled = _compile_scaling_study(cfg)
     elif kind == KIND_INVERSION:
-        _validate_inversion(cfg)
+        compiled = _compile_inversion(cfg)
     else:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    return Scenario(name=name, kind=kind, config=cfg)
+    return Scenario(name=name, kind=kind, config=cfg, compiled=compiled)
 
 
-def _validate_scaling_study(cfg: dict) -> None:
-    delta = float(_need(cfg, "delta", ""))
+def _compile_scaling_study(cfg: dict) -> _ScalingStudy:
+    delta = _number(cfg, "delta", "")
     if delta <= 0:
         raise ConfigError(f"delta must be positive, got {delta}")
     cfg["delta"] = delta
-    shifts = _need(cfg, "shifts", "")
-    for key in ("start", "stop", "step"):
-        _need(shifts, key, "shifts.")
-    if shifts["step"] <= 0 or shifts["stop"] <= shifts["start"]:
+    start, stop, step = _range_fields(_need(cfg, "shifts", ""), "shifts.")
+    if step <= 0 or stop <= start:
         raise ConfigError("shifts must satisfy start < stop with a positive step")
-    grid = cfg.setdefault("grid", {"t_start": 0.0, "t_end": 10.0, "n_samples": 1001})
-    _study_grid(grid)  # validates
-    cfg.setdefault("c_exponential", 1.0)
-    cfg.setdefault("c_linexp", 1.0)
-    if cfg["c_exponential"] <= 0 or cfg["c_linexp"] <= 0:
-        raise ConfigError("scaling constants must be positive")
-
-
-def _study_grid(grid_cfg: dict) -> TimeGrid:
+    grid_cfg = cfg.setdefault("grid", {"t_start": 0.0, "t_end": 10.0, "n_samples": 1001})
     try:
-        return make_grid(float(grid_cfg["t_start"]), float(grid_cfg["t_end"]),
+        grid = make_grid(float(grid_cfg["t_start"]), float(grid_cfg["t_end"]),
                          int(grid_cfg["n_samples"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad study grid: {exc}") from None
+    cfg.setdefault("c_exponential", 1.0)
+    cfg.setdefault("c_linexp", 1.0)
+    consts = {"exponential": _number(cfg, "c_exponential", ""),
+              "linexp": _number(cfg, "c_linexp", "")}
+    if not all(c > 0 for c in consts.values()):
+        raise ConfigError("scaling constants must be positive")
+    return _ScalingStudy(
+        grid=grid, delta=delta, shifts=_range_values(start, stop, step),
+        scalings=tuple(Scaling(kind, consts.get(kind)) for kind in STUDY_SCALINGS))
 
 
-def _validate_inversion(cfg: dict) -> None:
-    if not isinstance(_need(cfg, "seed", ""), int):
-        raise ConfigError("seed must be an integer")
+def _compile_inversion(cfg: dict) -> _Inversion:
+    seed = _need(cfg, "seed", "")
+    if not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     bundle = build_forward(_need(cfg, "forward", ""))
 
     theta_true = _as_float_list(_need(_need(cfg, "truth", ""), "theta", "truth."),
@@ -156,40 +234,57 @@ def _validate_inversion(cfg: dict) -> None:
     if lik_kind == KIND_EXP_W2:
         scaling_cfg = _need(lik, "scaling", "likelihood.")
         try:
-            _scaling_from_config(scaling_cfg)
-        except ValueError as exc:
+            scaling = Scaling(kind=_need(scaling_cfg, "kind", "scaling."),
+                              c=_optional_float(scaling_cfg.get("c")))
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"likelihood.scaling: {exc}") from None
-    elif lik_kind != KIND_GAUSS_L2:
+        likelihood = LikelihoodModel(KIND_EXP_W2, bundle.grid.n, scaling)
+    elif lik_kind == KIND_GAUSS_L2:
+        likelihood = LikelihoodModel(KIND_GAUSS_L2, bundle.grid.n)
+    else:
         raise ConfigError(f"unknown likelihood kind {lik_kind!r}")
 
     s_update = cfg.setdefault("s_update", "gibbs")
     if s_update not in ("gibbs", "fixed"):
         raise ConfigError(f"s_update must be 'gibbs' or 'fixed', got {s_update!r}")
     s_prior_cfg = cfg.setdefault("s_prior", None)
+    s_prior = None
     if s_update == "gibbs":
         if s_prior_cfg is None:
             raise ConfigError("gibbs precision updates need an s_prior")
         try:
-            GammaPrior(shape=float(s_prior_cfg["shape"]),
-                       rate=float(s_prior_cfg["rate"]))
+            s_prior = GammaPrior(shape=float(s_prior_cfg["shape"]),
+                                 rate=float(s_prior_cfg["rate"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"s_prior: {exc}") from None
 
     prop = _need(cfg, "proposal", "")
+    covariance = _need(prop, "covariance", "proposal.")
     prop.setdefault("adapt_after", 0)
     prop.setdefault("adapt_scale", None)
     try:
-        proposal = _proposal_from_config(prop)
-    except ValueError as exc:
+        proposal = ProposalSpec(covariance=covariance,
+                                adapt_after=int(prop["adapt_after"]),
+                                adapt_scale=_optional_float(prop["adapt_scale"]))
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"proposal: {exc}") from None
 
     init = _need(cfg, "init", "")
     theta0 = _as_float_list(_need(init, "theta", "init."), "init.theta")
-    s0 = float(_need(init, "s", "init."))
-    if s0 <= 0:
+    s0 = _number(init, "s", "init.")
+    if not s0 > 0:
         raise ConfigError(f"init.s must be positive, got {s0}")
 
-    schedule = _schedule_from_config(_need(cfg, "schedule", ""), seed=0)
+    sched = _need(cfg, "schedule", "")
+    try:
+        schedule = ChainSchedule(total_iters=int(_need(sched, "total_iters", "schedule.")),
+                                 burn_in=int(_need(sched, "burn_in", "schedule.")),
+                                 thinning=int(_need(sched, "thinning", "schedule.")),
+                                 seed=chain_seed_sequence(seed))
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"schedule: {exc}") from None
 
     dims = {"forward model": bundle.n_params, "truth.theta": len(theta_true),
             "theta_prior": prior.dim, "proposal": proposal.dim,
@@ -204,30 +299,48 @@ def _validate_inversion(cfg: dict) -> None:
         raise ConfigError(f"init.theta {theta0} lies outside the prior box")
 
     noise_cfg = cfg.setdefault("noise", None)
+    noise = None
     if noise_cfg is not None:
         try:
-            _noise_from_config(noise_cfg)
-        except (TypeError, ValueError) as exc:
+            noise = NoiseSpec(gamma_shape=_optional_float(noise_cfg.get("gamma_shape")),
+                              uniform_width=_optional_float(noise_cfg.get("uniform_width")),
+                              gaussian_sigma=_optional_float(noise_cfg.get("gaussian_sigma")))
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"noise: {exc}") from None
 
     land = cfg.get("landscape")
+    landscape = None
     if land is not None:
-        idx = int(_need(land, "param_index", "landscape."))
+        idx = _number(land, "param_index", "landscape.", int)
         if not 0 <= idx < bundle.n_params:
             raise ConfigError(f"landscape.param_index {idx} out of range")
         fixed = _as_float_list(_need(land, "fixed_theta", "landscape."),
                                "landscape.fixed_theta")
         if len(fixed) != bundle.n_params:
             raise ConfigError("landscape.fixed_theta has the wrong dimension")
-        for key in ("start", "stop", "step"):
-            _need(land, key, "landscape.")
-        if land["step"] <= 0 or land["stop"] < land["start"]:
+        start, stop, step = _range_fields(land, "landscape.")
+        if step <= 0 or stop < start:
             raise ConfigError("landscape grid must satisfy start <= stop, step > 0")
         lo, hi = prior.bounds[idx]
-        if land["start"] < lo or land["stop"] > hi:
+        if start < lo or stop > hi:
             raise ConfigError("landscape grid leaves the prior box")
-        if float(_need(land, "s_ref", "landscape.")) <= 0:
+        s_ref = _number(land, "s_ref", "landscape.")
+        if s_ref <= 0:
             raise ConfigError("landscape.s_ref must be positive")
+        landscape = _Landscape(param_index=idx, values=_range_values(start, stop, step),
+                               fixed_theta=_frozen(fixed), s_ref=s_ref)
+
+    return _Inversion(
+        forward=bundle, theta_prior=prior, likelihood=likelihood,
+        s_update=s_update, s_prior=s_prior, proposal=proposal,
+        theta_true=_frozen(theta_true), theta0=_frozen(theta0), s0=s0,
+        schedule=schedule, noise=noise, landscape=landscape)
+
+
+def _inversion(scenario: Scenario) -> _Inversion:
+    if scenario.kind != KIND_INVERSION:
+        raise ConfigError(f"scenario {scenario.name!r} is not an inversion scenario")
+    return scenario.compiled
 
 
 def load_scenario(source: str | Path) -> Scenario:
@@ -279,7 +392,7 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Compiling a config into model objects
+# Compiling a forward config into a model
 
 @dataclass(frozen=True, eq=False)
 class ForwardBundle:
@@ -337,48 +450,6 @@ def build_forward(fwd: dict) -> ForwardBundle:
     raise ConfigError(f"unknown forward kind {kind!r}")
 
 
-def _scaling_from_config(sc: dict) -> Scaling:
-    c = sc.get("c")
-    return Scaling(kind=_need(sc, "kind", "scaling."),
-                   c=None if c is None else float(c))
-
-
-def _noise_from_config(nz: dict) -> NoiseSpec:
-    gamma = nz.get("gamma_shape")
-    width = nz.get("uniform_width")
-    sigma = nz.get("gaussian_sigma")
-    return NoiseSpec(gamma_shape=None if gamma is None else float(gamma),
-                     uniform_width=None if width is None else float(width),
-                     gaussian_sigma=None if sigma is None else float(sigma))
-
-
-def _proposal_from_config(prop: dict) -> ProposalSpec:
-    scale = prop.get("adapt_scale")
-    return ProposalSpec(covariance=_need(prop, "covariance", "proposal."),
-                        adapt_after=int(prop.get("adapt_after", 0)),
-                        adapt_scale=None if scale is None else float(scale))
-
-
-def _likelihood_from_config(cfg: dict, n_obs: int) -> LikelihoodModel:
-    lik = cfg["likelihood"]
-    if lik["kind"] == KIND_EXP_W2:
-        return LikelihoodModel(kind=KIND_EXP_W2, n_obs=n_obs,
-                               scaling=_scaling_from_config(lik["scaling"]))
-    return LikelihoodModel(kind=KIND_GAUSS_L2, n_obs=n_obs)
-
-
-def _schedule_from_config(sched: dict, seed) -> ChainSchedule:
-    try:
-        return ChainSchedule(total_iters=int(_need(sched, "total_iters", "schedule.")),
-                             burn_in=int(_need(sched, "burn_in", "schedule.")),
-                             thinning=int(_need(sched, "thinning", "schedule.")),
-                             seed=seed)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"schedule: {exc}") from None
-
-
 def data_noise_rng(master_seed: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=master_seed, spawn_key=(0,)))
@@ -390,33 +461,20 @@ def chain_seed_sequence(master_seed: int) -> np.random.SeedSequence:
 
 def synthesize_observations(scenario: Scenario) -> tuple[Gather, Gather]:
     """Forward data at the true parameters, clean and polluted."""
-    cfg = scenario.config
-    bundle = build_forward(cfg["forward"])
-    clean = bundle.simulate(np.array(cfg["truth"]["theta"], dtype=np.float64))
-    noise_cfg = cfg.get("noise")
-    if noise_cfg is None:
+    inv = _inversion(scenario)
+    clean = inv.forward.simulate(inv.theta_true)
+    if inv.noise is None:
         return clean, clean
-    spec = _noise_from_config(noise_cfg)
-    noisy = pollute(clean, spec, data_noise_rng(cfg["seed"]))
+    noisy = pollute(clean, inv.noise, data_noise_rng(scenario.config["seed"]))
     return clean, noisy
 
 
 def build_problem(scenario: Scenario, observed: Gather) -> Problem:
-    cfg = scenario.config
-    bundle = build_forward(cfg["forward"])
-    s_prior_cfg = cfg.get("s_prior")
-    return Problem(
-        forward=bundle.simulate,
-        observed=observed,
-        likelihood=_likelihood_from_config(cfg, bundle.grid.n),
-        theta_prior=UniformBoxPrior(bounds=cfg["theta_prior"]["bounds"]),
-        proposal=_proposal_from_config(cfg["proposal"]),
-        theta0=np.array(cfg["init"]["theta"], dtype=np.float64),
-        s0=float(cfg["init"]["s"]),
-        s_prior=None if s_prior_cfg is None else GammaPrior(
-            shape=float(s_prior_cfg["shape"]), rate=float(s_prior_cfg["rate"])),
-        s_mode=cfg["s_update"],
-    )
+    inv = _inversion(scenario)
+    return Problem(forward=inv.forward.simulate, observed=observed,
+                   likelihood=inv.likelihood, theta_prior=inv.theta_prior,
+                   proposal=inv.proposal, theta0=inv.theta0, s0=inv.s0,
+                   s_prior=inv.s_prior, s_mode=inv.s_update)
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +541,29 @@ def _write_block_grid(path: Path, grid_values: np.ndarray) -> None:
     _write_rows(path, header, rows)
 
 
-def _param_names(m: int) -> list[str]:
-    return [f"theta_{j + 1}" for j in range(m)] + ["s"]
-
-
-def _write_marginals(out: Path, iterations: np.ndarray, thetas: np.ndarray,
-                     s_values: np.ndarray, bins: int) -> list[str]:
+def _write_summaries(out: Path, bundle: ForwardBundle, iterations: np.ndarray,
+                     thetas: np.ndarray, s_values: np.ndarray, bins: int) -> list[str]:
+    """Marginals per parameter and for s, plus the block maps of a block model."""
     files = []
-    columns = list(thetas.T) + [s_values]
-    for name, values in zip(_param_names(thetas.shape[1]), columns):
+    names = [f"theta_{j + 1}" for j in range(thetas.shape[1])] + ["s"]
+    for name, values in zip(names, list(thetas.T) + [s_values]):
         hist_name, trace_name = f"hist_{name}.csv", f"trace_{name}.csv"
         _write_hist_csv(out / hist_name, values, bins=bins)
         _write_trace_csv(out / trace_name, iterations, values)
         files.extend([hist_name, trace_name])
+    if bundle.block_layout is not None:
+        mean, std = summarize_blocks(thetas, *bundle.block_layout)
+        _write_block_grid(out / "blocks_mean.csv", mean)
+        _write_block_grid(out / "blocks_std.csv", std)
+        files += ["blocks_mean.csv", "blocks_std.csv"]
     return files
+
+
+def _posterior(thetas: np.ndarray, s_values: np.ndarray) -> dict:
+    return {"theta_mean": [float(v) for v in thetas.mean(axis=0)],
+            "theta_std": [float(v) for v in thetas.std(axis=0, ddof=1)],
+            "s_mean": float(s_values.mean()),
+            "s_std": float(s_values.std(ddof=1))}
 
 
 # ---------------------------------------------------------------------------
@@ -510,34 +577,23 @@ def run_inversion(scenario: Scenario, out_dir: str | Path,
     all artifacts and the manifest before raising HealthCheckError, so a
     failed run can be inspected.
     """
-    if scenario.kind != KIND_INVERSION:
-        raise ConfigError(f"scenario {scenario.name!r} is not an inversion scenario")
+    inv = _inversion(scenario)
     cfg = scenario.config
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    clean, noisy = synthesize_observations(scenario)
+    _, noisy = synthesize_observations(scenario)
     write_gather_csv(noisy, out / "gather_noisy.csv")
 
     problem = build_problem(scenario, noisy)
-    schedule = _schedule_from_config(cfg["schedule"],
-                                     seed=chain_seed_sequence(cfg["seed"]))
     started = time.perf_counter()
-    chain = run_chain(problem, schedule)
+    chain = run_chain(problem, inv.schedule)
     wall = time.perf_counter() - started
 
     write_chain_csv(out / "chain.csv", chain)
     artifacts = ["chain.csv", "gather_noisy.csv"]
-    artifacts += _write_marginals(out, chain.iterations, chain.thetas,
+    artifacts += _write_summaries(out, inv.forward, chain.iterations, chain.thetas,
                                   chain.s_values, hist_bins)
-
-    bundle = build_forward(cfg["forward"])
-    if bundle.block_layout is not None:
-        rows, cols = bundle.block_layout
-        mean, std = summarize_blocks(chain.thetas, rows, cols)
-        _write_block_grid(out / "blocks_mean.csv", mean)
-        _write_block_grid(out / "blocks_std.csv", std)
-        artifacts += ["blocks_mean.csv", "blocks_std.csv"]
 
     from . import __version__
     manifest = {
@@ -552,12 +608,7 @@ def run_inversion(scenario: Scenario, out_dir: str | Path,
         "acceptance_rate": chain.acceptance_rate,
         "wall_time_s": wall,
         "health_ok": chain.health_ok,
-        "posterior": {
-            "theta_mean": [float(v) for v in chain.thetas.mean(axis=0)],
-            "theta_std": [float(v) for v in chain.thetas.std(axis=0, ddof=1)],
-            "s_mean": float(chain.s_values.mean()),
-            "s_std": float(chain.s_values.std(ddof=1)),
-        },
+        "posterior": _posterior(chain.thetas, chain.s_values),
         "artifacts": artifacts,
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n",
@@ -571,8 +622,7 @@ def run_inversion(scenario: Scenario, out_dir: str | Path,
 
 def run_simulate(scenario: Scenario, out_dir: str | Path) -> dict:
     """Forward-only: write the clean and polluted gathers for inspection."""
-    if scenario.kind != KIND_INVERSION:
-        raise ConfigError(f"scenario {scenario.name!r} is not an inversion scenario")
+    _inversion(scenario)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     clean, noisy = synthesize_observations(scenario)
@@ -583,53 +633,32 @@ def run_simulate(scenario: Scenario, out_dir: str | Path) -> dict:
             "n_traces": len(noisy.labels), "n_samples": noisy.grid.n}
 
 
-def _parallel_map(fn, items, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
-def run_landscape(scenario: Scenario, out_dir: str | Path,
-                  threads: int = 1) -> dict:
+def run_landscape(scenario: Scenario, out_dir: str | Path) -> dict:
     """Both log-likelihood curves along one parameter axis, on synthetic data.
 
     The scan grid, scanned parameter, the frozen remaining parameters, and
-    the reference precision come from the scenario's landscape block.
+    the reference precision come from the scenario's landscape block.  The
+    transport curve uses the scenario's scaling, or the linear one when
+    the scenario's likelihood is gauss_l2.
     """
-    cfg = scenario.config
-    land = cfg.get("landscape")
+    inv = _inversion(scenario)
+    land = inv.landscape
     if land is None:
         raise ConfigError(f"scenario {scenario.name!r} has no landscape block")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     _, noisy = synthesize_observations(scenario)
-    bundle = build_forward(cfg["forward"])
-    if cfg["likelihood"]["kind"] == KIND_EXP_W2:
-        scaling = _scaling_from_config(cfg["likelihood"]["scaling"])
-    else:
-        scaling = Scaling(kind="linear")
-    exp_model = LikelihoodModel(kind=KIND_EXP_W2, n_obs=bundle.grid.n,
-                                scaling=scaling)
-    norm_model = LikelihoodModel(kind=KIND_GAUSS_L2, n_obs=bundle.grid.n)
-
-    step = float(land["step"])
-    n_points = int(round((float(land["stop"]) - float(land["start"])) / step)) + 1
-    values = float(land["start"]) + step * np.arange(n_points)
-    fixed = np.array(land["fixed_theta"], dtype=np.float64)
-    idx = int(land["param_index"])
-    s_ref = float(land["s_ref"])
-
-    def scan_one(value: float) -> np.ndarray:
-        return landscape_scan_1d((exp_model, norm_model), bundle.simulate,
-                                 noisy, idx, [value], fixed, s_ref)[0]
-
-    pairs = _parallel_map(scan_one, values, threads)
-    rows = [[_fmt(v), _fmt(e), _fmt(n)] for v, (e, n) in zip(values, pairs)]
+    n_obs = inv.forward.grid.n
+    models = (LikelihoodModel(KIND_EXP_W2, n_obs,
+                              inv.likelihood.scaling or Scaling(kind="linear")),
+              LikelihoodModel(KIND_GAUSS_L2, n_obs))
+    table = landscape_scan_1d(models, inv.forward.simulate, noisy, land.param_index,
+                              land.values, land.fixed_theta, land.s_ref)
+    rows = [[_fmt(v), _fmt(e), _fmt(n)] for v, (e, n) in zip(land.values, table)]
     _write_rows(out / "landscape.csv", "param_value,log_exp,log_norm", rows)
     return {"name": scenario.name, "fingerprint": scenario.fingerprint,
-            "artifacts": ["landscape.csv"], "n_points": len(values)}
+            "artifacts": ["landscape.csv"], "n_points": len(land.values)}
 
 
 def study_signal(t: np.ndarray, delta: float, shift: float) -> np.ndarray:
@@ -640,91 +669,64 @@ def study_signal(t: np.ndarray, delta: float, shift: float) -> np.ndarray:
             + np.exp(-((u - 6.0) / delta) ** 2))
 
 
-def run_scaling_study(scenario: Scenario, out_dir: str | Path,
-                      threads: int = 1) -> dict:
+def run_scaling_study(scenario: Scenario, out_dir: str | Path) -> dict:
     """Distance-versus-shift curves for every scaling plus the plain L2.
 
     Each column is rescaled so its value at the first shift equals one,
     which makes the curves comparable on one axis.  A scaling that fails
     at some shift contributes NaN there instead of aborting the study.
     """
-    from .transport import l2_distance, w2_distance
-
     if scenario.kind != KIND_SCALING_STUDY:
         raise ConfigError(f"scenario {scenario.name!r} is not a scaling study")
-    cfg = scenario.config
+    study = scenario.compiled
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    grid = _study_grid(cfg["grid"])
-    t = grid.times()
-    delta = cfg["delta"]
-    sh = cfg["shifts"]
-    step = float(sh["step"])
-    n_points = int(round((float(sh["stop"]) - float(sh["start"])) / step)) + 1
-    shifts = float(sh["start"]) + step * np.arange(n_points)
-
-    scalings = {
-        "linear": Scaling(kind="linear"),
-        "square": Scaling(kind="square"),
-        "exponential": Scaling(kind="exponential", c=cfg["c_exponential"]),
-        "absolute": Scaling(kind="absolute"),
-        "linexp": Scaling(kind="linexp", c=cfg["c_linexp"]),
-    }
-    f_trace = Trace(grid, study_signal(t, delta, 0.0))
-
-    def distances(shift: float) -> list[float]:
-        g_trace = Trace(grid, study_signal(t, delta, shift))
-        row = []
-        for name in STUDY_SCALINGS:
+    t = study.grid.times()
+    f_trace = Trace(study.grid, study_signal(t, study.delta, 0.0))
+    table = np.full((len(study.shifts), len(study.scalings) + 1), np.nan)
+    for i, shift in enumerate(study.shifts):
+        g_trace = Trace(study.grid, study_signal(t, study.delta, shift))
+        for j, scaling in enumerate(study.scalings):
             try:
-                row.append(w2_distance(f_trace, g_trace, scalings[name]))
+                table[i, j] = w2_distance(f_trace, g_trace, scaling)
             except (ValueError, ComputeError):
-                row.append(float("nan"))
-        row.append(l2_distance(f_trace, g_trace))
-        return row
-
-    table = np.array(_parallel_map(distances, shifts, threads))
+                pass
+        table[i, -1] = l2_distance(f_trace, g_trace)
     first = table[0].copy()
     if np.any(first == 0):
         raise ComputeError("cannot rescale: a distance at the first shift is zero")
     table /= first
 
     header = "shift," + ",".join(STUDY_SCALINGS) + ",l2"
-    rows = [[_fmt(s)] + [_fmt(v) for v in row] for s, row in zip(shifts, table)]
+    rows = [[_fmt(s)] + [_fmt(v) for v in row] for s, row in zip(study.shifts, table)]
     _write_rows(out / "scaling.csv", header, rows)
     return {"name": scenario.name, "fingerprint": scenario.fingerprint,
-            "artifacts": ["scaling.csv"], "n_points": len(shifts)}
+            "artifacts": ["scaling.csv"], "n_points": len(study.shifts)}
 
 
 def summarize_run(scenario: Scenario, out_dir: str | Path,
                   hist_bins: int = 40) -> dict:
-    """Regenerate marginal and block artifacts from an existing chain.csv."""
+    """Regenerate marginal and block artifacts from an existing chain.csv.
+
+    The chain's parameter count is checked against the scenario before
+    any file is written.
+    """
+    inv = _inversion(scenario)
     out = Path(out_dir)
     chain_path = out / "chain.csv"
     if not chain_path.exists():
         raise ConfigError(f"no chain.csv under {out}")
     iterations, thetas, s_values, _ = read_chain_csv(chain_path)
-    artifacts = _write_marginals(out, iterations, thetas, s_values, hist_bins)
-    bundle = build_forward(scenario.config["forward"])
-    if thetas.shape[1] != bundle.n_params:
+    if thetas.shape[1] != inv.forward.n_params:
         raise ConfigError(
             f"chain has {thetas.shape[1]} parameters but the scenario "
-            f"forward model has {bundle.n_params}")
-    if bundle.block_layout is not None:
-        rows, cols = bundle.block_layout
-        mean, std = summarize_blocks(thetas, rows, cols)
-        _write_block_grid(out / "blocks_mean.csv", mean)
-        _write_block_grid(out / "blocks_std.csv", std)
-        artifacts += ["blocks_mean.csv", "blocks_std.csv"]
+            f"forward model has {inv.forward.n_params}")
+    artifacts = _write_summaries(out, inv.forward, iterations, thetas, s_values,
+                                 hist_bins)
     return {"name": scenario.name, "artifacts": artifacts,
             "retained_samples": int(thetas.shape[0]),
-            "posterior": {
-                "theta_mean": [float(v) for v in thetas.mean(axis=0)],
-                "theta_std": [float(v) for v in thetas.std(axis=0, ddof=1)],
-                "s_mean": float(s_values.mean()),
-                "s_std": float(s_values.std(ddof=1)),
-            }}
+            "posterior": _posterior(thetas, s_values)}
 
 
 # ---------------------------------------------------------------------------

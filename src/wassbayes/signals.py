@@ -7,7 +7,6 @@ NaN or Inf.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,19 +139,6 @@ class Gather:
         return Gather(self.grid, matrix, self.labels)
 
 
-def merge_gathers(gathers) -> Gather:
-    """Concatenate gathers on a shared grid; labels must stay unique."""
-    gathers = list(gathers)
-    if not gathers:
-        raise ValueError("nothing to merge")
-    grid = gathers[0].grid
-    if any(g.grid != grid for g in gathers[1:]):
-        raise ValueError("all traces in a gather must share one time grid")
-    values = np.concatenate([g.values for g in gathers])
-    values.setflags(write=False)  # owned and frozen: kept without a second copy
-    return Gather(grid, values, tuple(lab for g in gathers for lab in g.labels))
-
-
 def _label_name(label: Label) -> str:
     return f"s{label[0]}_r{label[1]}_c{label[2]}"
 
@@ -191,20 +177,3 @@ def read_gather_csv(path) -> Gather:
                     n=len(times))
     return Gather(grid, data[:, 1:].T, labels)
 
-
-def write_gather_json(gather: Gather, path) -> None:
-    doc = {
-        "grid": {"t0": gather.grid.t0, "dt": gather.grid.dt, "n": gather.grid.n},
-        "labels": [list(lab) for lab in gather.labels],
-        "values": gather.values.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def read_gather_json(path) -> Gather:
-    with open(path) as fh:
-        doc = json.load(fh)
-    grid = TimeGrid(t0=doc["grid"]["t0"], dt=doc["grid"]["dt"], n=doc["grid"]["n"])
-    labels = tuple(tuple(int(i) for i in lab) for lab in doc["labels"])
-    return Gather(grid, doc["values"], labels)

@@ -219,10 +219,6 @@ def quantiles(density: NormalizedDensity, ps) -> np.ndarray:
     return out.reshape(ps.shape)
 
 
-def inverse_cdf(density: NormalizedDensity, p: float) -> float:
-    return float(quantiles(density, np.asarray([p]))[0])
-
-
 def _w2_rows(fv: np.ndarray, gv: np.ndarray, times: np.ndarray,
              scaling: Scaling) -> np.ndarray:
     c = scaling.c

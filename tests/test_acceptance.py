@@ -129,9 +129,9 @@ def test_criterion_03_shift_study_curve_shapes(capsys, tmp_path):
     # oscillates, showing at least two strict local minima
     started = time.perf_counter()
     wb.run_scaling_study(wb.load_scenario("shift-study-wide"),
-                         tmp_path / "wide", threads=2)
+                         tmp_path / "wide")
     wb.run_scaling_study(wb.load_scenario("shift-study-narrow"),
-                         tmp_path / "narrow", threads=2)
+                         tmp_path / "narrow")
     wide = np.loadtxt(tmp_path / "wide/scaling.csv", delimiter=",",
                       skiprows=1)
     narrow = np.loadtxt(tmp_path / "narrow/scaling.csv", delimiter=",",
@@ -185,8 +185,7 @@ def test_criterion_05_likelihood_landscape_modality(capsys, tmp_path):
     # least two strict local maxima, the exponential one has exactly one
     # strict local maximum within 0.1 of the true location and peaks there
     started = time.perf_counter()
-    wb.run_landscape(wb.load_scenario("pulse-location-quick"), tmp_path,
-                     threads=2)
+    wb.run_landscape(wb.load_scenario("pulse-location-quick"), tmp_path)
     table = np.loadtxt(tmp_path / "landscape.csv", delimiter=",", skiprows=1)
     values, log_exp, log_norm = table[:, 0], table[:, 1], table[:, 2]
     exp_maxima = strict_local_maxima(log_exp)

@@ -127,9 +127,15 @@ class TestRicker:
         assert float(wb.ricker_wavelet(0.2 - t)) == pytest.approx(0.0, abs=1e-9)
 
     def test_source_patch_mask(self):
-        pts = np.array([[0.0, -1.0], [0.04, -1.04], [0.05, -1.0], [0.0, -1.05]])
-        vals = wb.ricker_source(0.1, pts, center=(0.0, -1.0))
-        np.testing.assert_allclose(vals, [1000.0, 1000.0, 0.0, 0.0])
+        # on a 0.01 grid the forcing patch of a source at (0, -1) holds the
+        # nodes within 0.04 of it in each coordinate, and none 0.05 away
+        model = small_acoustic(dx=0.01, solver_dt=0.005, receivers=((0.5, -1.0),))
+        ii, jj = model.source_nodes(0)
+        patch = {(round(-1.0 + i * 0.01, 6), round(-2.0 + j * 0.01, 6))
+                 for i, j in zip(ii, jj)}
+        assert (0.0, -1.0) in patch and (0.04, -1.04) in patch
+        assert (0.05, -1.0) not in patch and (0.0, -1.05) not in patch
+        assert len(patch) == 81
 
 
 def small_acoustic(dx=0.04, solver_dt=0.01, n=101, t_end=1.0,

@@ -279,17 +279,20 @@ class TestRunChain:
 
 
 class TestPosteriorSummary:
-    def test_moments(self):
+    def test_moments(self, tmp_path):
+        # summarize_run reports the sample mean and std (ddof=1) of each
+        # marginal and writes its histogram
         rng = np.random.default_rng(6)
         values = rng.normal(2.0, 0.5, size=5000)
-        summ = wb.posterior_summary(values, bins=30)
-        assert summ.mean == pytest.approx(values.mean())
-        assert summ.std == pytest.approx(values.std(ddof=1))
-        assert summ.hist_counts.sum() == 5000
-        assert len(summ.hist_edges) == 31
-
-    def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
-            wb.posterior_summary(np.array([1.0]))
-        with pytest.raises(ValueError):
-            wb.posterior_summary(np.ones((3, 2)))
+        chain = wb.Chain(thetas=values[:, None], s_values=np.full(5000, 4.0),
+                         iterations=np.arange(1, 5001),
+                         accepted_flags=np.ones(5000, dtype=bool),
+                         schedule=wb.ChainSchedule(5000, 0, 1))
+        wb.write_chain_csv(tmp_path / "chain.csv", chain)
+        summ = wb.summarize_run(wb.load_scenario("linear-gaussian"), tmp_path,
+                                hist_bins=30)
+        assert summ["posterior"]["theta_mean"] == [pytest.approx(values.mean())]
+        assert summ["posterior"]["theta_std"] == [pytest.approx(values.std(ddof=1))]
+        hist = np.loadtxt(tmp_path / "hist_theta_1.csv", delimiter=",", skiprows=1)
+        assert hist.shape == (30, 3)
+        assert hist[:, 2].sum() == 5000

@@ -32,6 +32,27 @@ def minimal_config(**patches):
     return cfg
 
 
+def counting_forward(monkeypatch) -> list[int]:
+    """Count forward builds and runs: one list entry per build_forward call,
+    holding the number of simulate calls on that bundle."""
+    calls = []
+    build = scenarios.build_forward
+
+    def counting_build(fwd):
+        bundle = build(fwd)
+        calls.append(0)
+        slot = len(calls) - 1
+
+        def simulate(theta):
+            calls[slot] += 1
+            return bundle.simulate(theta)
+
+        return dataclasses.replace(bundle, simulate=simulate)
+
+    monkeypatch.setattr(scenarios, "build_forward", counting_build)
+    return calls
+
+
 class TestValidation:
     def test_minimal_config_accepted(self):
         sc = wb.scenario_from_config(minimal_config())
@@ -130,6 +151,59 @@ class TestValidation:
                "shifts": {"start": 1.0, "stop": -1.0, "step": 0.5}}
         with pytest.raises(ConfigError, match="shifts"):
             wb.scenario_from_config(cfg)
+
+
+BUILTIN_FINGERPRINTS = [
+    ("pulse-amplitude", "fa048633b33db0f61085bd09935c87fee4b2486db3572f0298a3877e960621ea"),
+    ("pulse-amplitude-quick", "d02d8701cba989b9d33b1a2110f753ca66cfaea684bb9af4437f0d3c93784ed9"),
+    ("pulse-amplitude-l2", "90cf87a2f774a34903f036eedd880cffe3cd46b4788c08660698b1ba3a985cdc"),
+    ("pulse-amplitude-l2-quick", "79fe5f66a4c25da1cdb6898c97e4588a380034716af1555ebc801990fe0c6fdb"),
+    ("pulse-location", "2e8e51298e0b4e29c4c0404e50c0bf038cc96498d7b3cba16c7978201db8341e"),
+    ("pulse-location-quick", "13785f2d0632a14613861297b8535bfd01a6d23d301a2824f5ed16eccedbc700"),
+    ("ten-block-tomography", "94ec2e882e55d7891c1bd502f8eefac5c105ed1bcf73bb6b307fe122427a547a"),
+    ("two-block-tomography", "70f3d32d18ea724b2daf2bc2349c3c3e25d52d7f04143a2d6c5c21a26a85d140"),
+    ("four-block-tomography", "a6005d163c2a7217ca5408b8a1e2a7381c5c502a306c739ab5db646617c68637"),
+    ("linear-gaussian", "6e990027285b8a02a99817039a95855b4c42b524100ee3e108aad38cda89a94a"),
+    ("shift-study-wide", "a3084a9b5093982d59d6f0f61062a6132e9ab8d066098c068f47a73e5e0dd3bd"),
+    ("shift-study-narrow", "991db11149f90752ba5f6bf61b1d3b7880fe6af877ec1a1f82e1bec748e42c55"),
+]
+
+
+class TestCompile:
+    @pytest.mark.parametrize("name,fingerprint", BUILTIN_FINGERPRINTS)
+    def test_builtin_fingerprint_pinned(self, name, fingerprint):
+        # the resolved config, defaults included, hashes as it always has
+        assert wb.load_scenario(name).fingerprint == fingerprint
+
+    def test_forward_built_once(self, tmp_path, monkeypatch):
+        calls = counting_forward(monkeypatch)
+        sc = wb.scenario_from_config(minimal_config())
+        assert calls == [0]
+        _, noisy = wb.synthesize_observations(sc)
+        wb.build_problem(sc, noisy)
+        wb.run_inversion(sc, tmp_path)
+        # both syntheses and every chain step ran the one compiled bundle
+        assert len(calls) == 1 and calls[0] > 2
+
+    def test_compiled_objects_carry_no_state(self, tmp_path):
+        # Gibbs draws and covariance adaptation exercise every stage object
+        cfg = minimal_config(s_update="gibbs", s_prior={"shape": 1.0, "rate": 0.1},
+                             proposal={"covariance": [[0.5]], "adapt_after": 10})
+        sc = wb.scenario_from_config(cfg)
+        for out in ("a", "b"):
+            wb.run_inversion(sc, tmp_path / out)
+        wb.run_inversion(wb.scenario_from_config(cfg), tmp_path / "fresh")
+        chain = (tmp_path / "a/chain.csv").read_bytes()
+        assert (tmp_path / "b/chain.csv").read_bytes() == chain
+        assert (tmp_path / "fresh/chain.csv").read_bytes() == chain
+
+    def test_stages_reject_a_scaling_study(self, tmp_path):
+        study = wb.load_scenario("shift-study-wide")
+        for stage in (wb.synthesize_observations, lambda sc: wb.build_problem(sc, None),
+                      lambda sc: wb.run_landscape(sc, tmp_path),
+                      lambda sc: wb.summarize_run(sc, tmp_path)):
+            with pytest.raises(ConfigError, match="not an inversion"):
+                stage(study)
 
 
 class TestLoadScenario:
@@ -497,34 +571,21 @@ class TestRunLandscape:
         assert result["n_points"] == 1
 
     def test_one_forward_run_per_point(self, tmp_path, monkeypatch):
-        calls = []
-        build = scenarios.build_forward
-
-        def counting_build(fwd):
-            bundle = build(fwd)
-            calls.append(0)
-            slot = len(calls) - 1
-
-            def simulate(theta):
-                calls[slot] += 1
-                return bundle.simulate(theta)
-
-            return dataclasses.replace(bundle, simulate=simulate)
-
-        monkeypatch.setattr(scenarios, "build_forward", counting_build)
+        calls = counting_forward(monkeypatch)
         cfg = minimal_config(landscape={
             "param_index": 0, "start": 0.0, "stop": 2.0, "step": 0.25,
             "fixed_theta": [1.0], "s_ref": 2.0})
         result = wb.run_landscape(wb.scenario_from_config(cfg), tmp_path)
-        # the last bundle built is the scan's; the ones before it synthesize
-        assert calls[-1] == result["n_points"] == 9
+        # one bundle: the synthesis run plus one run per grid point
+        assert result["n_points"] == 9
+        assert calls == [result["n_points"] + 1]
 
     def test_curves_peak_at_truth(self, tmp_path):
         cfg = minimal_config(noise=None, landscape={
             "param_index": 0, "start": 0.0, "stop": 2.0, "step": 0.25,
             "fixed_theta": [1.0], "s_ref": 2.0})
         sc = wb.scenario_from_config(cfg)
-        wb.run_landscape(sc, tmp_path, threads=2)
+        wb.run_landscape(sc, tmp_path)
         rows = np.loadtxt(tmp_path / "landscape.csv", delimiter=",",
                           skiprows=1)
         assert rows[np.argmax(rows[:, 2]), 0] == pytest.approx(1.0)
@@ -626,7 +687,6 @@ class TestCli:
         rc = main(["scaling-study", "--scenario", "shift-study-wide",
                    "--override", "shifts.step=1.0",
                    "--override", "grid.n_samples=201",
-                   "--threads", "2",
                    "--out", str(tmp_path)])
         assert rc == 0
         assert (tmp_path / "scaling.csv").exists()
@@ -658,6 +718,33 @@ class TestCli:
         assert main(["validate", "--scenario", "linear-gaussian", "--seed", "3",
                      "--override", "schedule.thinning=2"]) == 0
         assert calls == ["linear-gaussian"]
+
+    @pytest.mark.parametrize("scenario,override", [
+        ("shift-study-wide", "shifts.step=abc"),
+        ("pulse-location-quick", "landscape.step=abc"),
+        ("pulse-location-quick", "landscape.param_index=abc"),
+        ("pulse-location-quick", "init.s=abc"),
+        ("linear-gaussian", "proposal=5"),
+        ("linear-gaussian", "truth=5"),
+    ])
+    def test_malformed_field_exits_2(self, scenario, override, capsys):
+        assert main(["validate", "--scenario", scenario, "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert override.split("=")[0] in err
+
+    def test_summarize_mismatch_writes_nothing(self, tmp_path, capsys):
+        assert main(["run", "--scenario", "linear-gaussian",
+                     "--override", "schedule.total_iters=400",
+                     "--override", "schedule.burn_in=100",
+                     "--out", str(tmp_path)]) == 0
+        for path in [*tmp_path.glob("hist_*"), *tmp_path.glob("trace_*")]:
+            path.unlink()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(["summarize", "--scenario", "two-block-tomography",
+                     "--out", str(tmp_path)]) == 2
+        assert "parameters" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_landscape_without_block_exits_2(self, tmp_path, capsys):
         rc = main(["landscape", "--scenario", "pulse-amplitude-quick",

@@ -1,11 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 import wassbayes as wb
-from wassbayes.signals import (read_gather_csv, read_gather_json,
-                               write_gather_csv, write_gather_json)
+from wassbayes.signals import read_gather_csv, write_gather_csv
 
 
 class TestTimeGrid:
@@ -78,9 +75,9 @@ class TestGather:
 
     def test_rejects_mixed_grids(self):
         a = wb.Gather(wb.make_grid(0, 1, 4), np.ones((1, 4)), ((0, 0, 0),))
-        b = wb.Gather(wb.make_grid(0, 2, 4), np.ones((1, 4)), ((0, 1, 0),))
-        with pytest.raises(ValueError):
-            wb.merge_gathers([a, b])
+        b = wb.Gather(wb.make_grid(0, 2, 4), np.ones((1, 4)), ((0, 0, 0),))
+        with pytest.raises(ValueError, match="same time grid"):
+            wb.l2_distance(a, b)
 
     def test_rejects_shape_mismatch(self):
         g = wb.make_grid(0, 1, 4)
@@ -108,19 +105,6 @@ class TestGather:
         assert ga.values[0, 0] == 1.0
         with pytest.raises(ValueError):
             ga.values[0, 0] = 9.0
-
-    def test_merge_concatenates_rows(self):
-        ga = self._gather()
-        other = wb.Gather(ga.grid, -ga.values[:1], ((2, 0, 0),))
-        merged = wb.merge_gathers([ga, other])
-        assert merged.labels == ga.labels + ((2, 0, 0),)
-        np.testing.assert_array_equal(merged.values[:3], ga.values)
-        np.testing.assert_array_equal(merged.values[3], -ga.values[0])
-
-    def test_merge_keeps_labels_unique(self):
-        ga = self._gather()
-        with pytest.raises(ValueError):
-            wb.merge_gathers([ga, ga])
 
     def test_with_values_shape_checked(self):
         ga = self._gather()
@@ -150,17 +134,6 @@ class TestSerialization:
         write_gather_csv(ga, path)
         header = path.read_text().splitlines()[0]
         assert header == "time,s0_r0_c0,s0_r1_c0"
-
-    def test_json_roundtrip(self, tmp_path):
-        ga = self._gather()
-        path = tmp_path / "gather.json"
-        write_gather_json(ga, path)
-        back = read_gather_json(path)
-        assert back.labels == ga.labels
-        np.testing.assert_array_equal(back.values, ga.values)
-        # the JSON document itself is valid and self-describing
-        doc = json.loads(path.read_text())
-        assert doc["grid"]["n"] == 11
 
     def test_malformed_column_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

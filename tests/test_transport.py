@@ -237,29 +237,29 @@ class TestInverseCdf:
         # level 0.5 is hit exactly at t = 0, and values just above it
         # interpolate toward t = 1.
         dens = wb.normalize(trace_on(wb.make_grid(0, 1, 2), [0.5, 0.5]))
-        assert wb.inverse_cdf(dens, 0.0) == 0.0
-        assert wb.inverse_cdf(dens, 0.5) == 0.0
-        assert wb.inverse_cdf(dens, 0.75) == pytest.approx(0.5)
-        assert wb.inverse_cdf(dens, 1.0) == 1.0
+        assert wb.quantiles(dens, [0.0])[0] == 0.0
+        assert wb.quantiles(dens, [0.5])[0] == 0.0
+        assert wb.quantiles(dens, [0.75])[0] == pytest.approx(0.5)
+        assert wb.quantiles(dens, [1.0])[0] == 1.0
 
     def test_flat_segment_returns_smallest_time(self):
         dens = wb.normalize(trace_on(wb.make_grid(0, 2, 3), [0.5, 0.0, 0.5]))
         # cdf = (0.5, 0.5, 1.0): the level 0.5 is first attained at t = 0
-        assert wb.inverse_cdf(dens, 0.5) == 0.0
+        assert wb.quantiles(dens, [0.5])[0] == 0.0
         # above the flat level, interpolation restarts from the last flat time
-        assert wb.inverse_cdf(dens, 0.6) == pytest.approx(1.2)
+        assert wb.quantiles(dens, [0.6])[0] == pytest.approx(1.2)
 
     def test_clamps_to_grid_span(self):
         dens = wb.normalize(trace_on(wb.make_grid(1, 3, 5), np.ones(5)))
-        assert wb.inverse_cdf(dens, 0.0) == 1.0
-        assert wb.inverse_cdf(dens, 1.0) == 3.0
+        assert wb.quantiles(dens, [0.0])[0] == 1.0
+        assert wb.quantiles(dens, [1.0])[0] == 3.0
 
     def test_out_of_range_rejected(self):
         dens = wb.normalize(trace_on(wb.make_grid(0, 1, 3), np.ones(3)))
         with pytest.raises(ValueError):
-            wb.inverse_cdf(dens, 1.5)
+            wb.quantiles(dens, [1.5])[0]
         with pytest.raises(ValueError):
-            wb.inverse_cdf(dens, -0.2)
+            wb.quantiles(dens, [-0.2])[0]
 
     def test_matches_independent_interpolation(self):
         rng = np.random.default_rng(11)
