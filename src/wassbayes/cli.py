@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import ComputeError, ConfigError, HealthCheckError
 from .scenarios import (KIND_INVERSION, KIND_SCALING_STUDY, Scenario,
-                        apply_overrides, builtin_names, load_scenario,
-                        run_inversion, run_landscape, run_scaling_study,
+                        apply_overrides, builtin_names, check_overrides,
+                        load_scenario, run_inversion, run_landscape, run_scaling_study,
                         run_simulate, scenario_from_config, summarize_run)
 
 _VERBS = ("run", "landscape", "scaling-study", "simulate", "summarize", "validate")
@@ -57,7 +57,8 @@ def _resolve_scenario(args: argparse.Namespace) -> Scenario:
     if args.seed is not None:
         overrides.append(f"seed={args.seed}")
     if overrides:
-        return scenario_from_config(apply_overrides(scenario.config, overrides))
+        scenario = scenario_from_config(apply_overrides(scenario.config, overrides))
+        check_overrides(scenario, overrides)
     return scenario
 
 
@@ -101,8 +102,7 @@ def main(argv=None) -> int:
     except HealthCheckError as exc:
         print(f"health check failed: {exc}", file=sys.stderr)
         return 4
-    except (ComputeError, FloatingPointError, np.linalg.LinAlgError,
-            ValueError) as exc:
+    except (ComputeError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     print(json.dumps(result, indent=2))

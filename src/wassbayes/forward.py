@@ -21,12 +21,18 @@ is an explicit second-order leapfrog on a uniform node grid: a^2 is sampled
 at cell centers and averaged arithmetically onto cell faces, giving the
 standard conservative five-point stencil.  Stability requires
 max(theta) * dt * sqrt(2) / dx < 1.  The point source is a Ricker-type
-wavelet applied uniformly on a small square patch of nodes.  All sources
-of a model are stepped together in one batched, in-place kernel.
+wavelet applied uniformly on a small square patch of nodes.  The sources
+of a model are stepped together in one batched, in-place kernel; above a
+size gate they are split into contiguous groups, one kernel call per
+core, each writing its own rows of one records matrix.  The kernel gives
+every source the same bits whatever the grouping, so the split never
+changes the output.
 """
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,6 +45,12 @@ X1_MIN, X1_MAX = -1.0, 1.0
 X2_MIN, X2_MAX = -2.0, 0.0
 SOURCE_HALF_WIDTH = 0.04  # the forcing patch is a 0.08 x 0.08 square
 _SNAP_TOL = 1e-9
+# A solve is split over n threads only when it holds at least this many
+# nodes per thread.  Below it the per-step numpy call overhead, which holds
+# the interpreter lock, outweighs the overlap: on two cores a two-way split
+# ran 2.1x slower at 2,601 nodes per thread, 1.2x at 5-10k, broke even at
+# about 15k, and ran 0.84-0.91x at 20k and 0.80-0.88x at 25k.
+MIN_NODES_PER_THREAD = 20_000
 
 
 def pulse_profile(x, x0: float, a: float) -> np.ndarray:
@@ -110,6 +122,13 @@ def _snap_index(coord: float, origin: float, dx: float, n_nodes: int, what: str)
     return int(idx)
 
 
+def _point(coords, what: str) -> tuple[float, float]:
+    point = tuple(float(c) for c in coords)
+    if len(point) != 2 or not all(math.isfinite(c) for c in point):
+        raise ValueError(f"{what} {list(coords)} must have exactly two finite coordinates")
+    return point
+
+
 @dataclass(frozen=True, eq=False)
 class AcousticModel:
     dx: float
@@ -140,8 +159,8 @@ class AcousticModel:
                 f"solver_dt={self.solver_dt} must divide the trace step "
                 f"{self.grid.dt} exactly"
             )
-        sources = tuple((float(s[0]), float(s[1])) for s in self.sources)
-        receivers = tuple((float(r[0]), float(r[1])) for r in self.receivers)
+        sources = tuple(_point(s, "source") for s in self.sources)
+        receivers = tuple(_point(r, "receiver") for r in self.receivers)
         if not sources or not receivers:
             raise ValueError("need at least one source and one receiver")
         rec_idx = np.array(
@@ -246,7 +265,7 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
               record_every: int, u0: np.ndarray | None = None,
               v0: np.ndarray | None = None,
               field_forcing: Callable[[float], np.ndarray] | None = None,
-              collect_energy: bool = False):
+              collect_energy: bool = False, records: np.ndarray | None = None):
     """One leapfrog solve per forcing patch, all stepped together in place.
 
     Source s owns nodes s*N .. (s+1)*N - 1 of one flat buffer, node (i, j)
@@ -262,7 +281,8 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     elsewhere; with initial data or a field forcing F is built on every node.
 
     Returns the (S * R, n_records) records (row s*R + r: receiver r of
-    source s), the last two flat states and the energies (one source only).
+    source s), written into records when it is given, the last two flat
+    states and the energies (one source only).
     """
     nx, nz = c2_cells.shape
     shape = (nx + 1, nz + 1)
@@ -310,7 +330,8 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
 
     rec_nodes = (np.arange(len(patches))[:, None] * n_nodes
                  + record_idx[:, 0] * m + record_idx[:, 1]).ravel()
-    records = np.empty((rec_nodes.size, n_steps // record_every + 1))
+    if records is None:
+        records = np.empty((rec_nodes.size, n_steps // record_every + 1))
     energies = np.empty(n_steps) if collect_energy else None
 
     def record(step: int, v: np.ndarray) -> None:
@@ -408,11 +429,57 @@ def discrete_energy(u_a: np.ndarray, u_b: np.ndarray, ax: np.ndarray,
     return kinetic + potential
 
 
+def _source_groups(n_sources: int, nodes_per_source: int) -> list[int]:
+    """Bounds of the contiguous source groups of one solve, one per thread.
+
+    The thread count is min(cores, S, S*N // MIN_NODES_PER_THREAD), at
+    least 1; the first groups take the extra source when S does not divide.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    n = max(1, min(cores, n_sources, n_sources * nodes_per_source // MIN_NODES_PER_THREAD))
+    return [-(-n_sources * k // n) for k in range(n + 1)]
+
+
+def _run_groups(bounds: list[int], solve: Callable[[int, int], None]) -> None:
+    """Call solve(bounds[k], bounds[k+1]) for every group k, one thread each.
+
+    Group 0 runs on the calling thread and every other group on its own
+    thread; numpy releases the interpreter lock inside each array operation,
+    so the groups overlap.  Once every thread has been joined, the
+    exception of the first group that failed, if any, is raised here.
+    """
+    errors: list[BaseException | None] = [None] * (len(bounds) - 1)
+
+    def run(k: int) -> None:
+        try:
+            solve(bounds[k], bounds[k + 1])
+        except BaseException as exc:  # re-raised by the caller
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,), name=f"wassbayes-sources-{k}")
+               for k in range(1, len(bounds) - 1)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     """Traces at the model receivers for every source, zero initial data.
 
-    All sources are stepped together; row s*R + r of the gather is receiver
-    r of source s, labelled (s, r, 0).
+    Row s*R + r of the gather is receiver r of source s, labelled (s, r, 0).
+    The sources are stepped together in one kernel call or, when the
+    process may run on more than one core and the solve holds at least
+    MIN_NODES_PER_THREAD nodes for each thread, split into contiguous
+    groups that run on one thread each.  There is no setting for this;
+    every grouping gives the same bits.
     """
     model.check_cfl(theta)
     patches = [model.source_nodes(k) for k in range(len(model.sources))]
@@ -422,8 +489,15 @@ def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     c2 = model.cell_speeds_squared(theta)
     n_steps = (model.grid.n - 1) * model._decim
     series = ricker_wavelet(model.solver_dt * np.arange(n_steps + 1))
-    records, *_ = _leapfrog(c2, model.dx, model.solver_dt, n_steps, patches,
-                            series, model._rec_idx, model._decim)
+    n_rec = len(model.receivers)
+    records = np.empty((len(patches) * n_rec, model.grid.n))
+
+    def solve(a: int, b: int) -> None:
+        """Sources a .. b - 1 into their own row block of records."""
+        _leapfrog(c2, model.dx, model.solver_dt, n_steps, patches[a:b], series,
+                  model._rec_idx, model._decim, records=records[a * n_rec:b * n_rec])
+
+    _run_groups(_source_groups(len(patches), (model._nx + 1) * (model._nz + 1)), solve)
     records.setflags(write=False)  # owned and frozen: kept without a copy
     labels = tuple((s, r, 0) for s in range(len(model.sources))
                    for r in range(len(model.receivers)))

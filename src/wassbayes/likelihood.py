@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import ComputeError
 from .signals import Gather
 from .transport import Scaling, l2_distance, w2_distance
 
@@ -114,9 +115,10 @@ def landscape_scan_1d(models: Sequence[LikelihoodModel],
     """Log likelihoods along one parameter axis, everything else held fixed.
 
     Returns shape (len(grid), len(models)); every model is evaluated on the
-    one forward run made per grid point.  A forward-model failure at a grid
-    point yields NaN for every model there, a likelihood failure NaN for
-    that model, rather than aborting the scan.
+    one forward run made per grid point.  A ComputeError in the forward
+    model at a grid point yields NaN for every model there, one in a
+    likelihood NaN for that model, rather than aborting the scan; any other
+    exception propagates.
     """
     fixed_theta = np.asarray(fixed_theta, dtype=np.float64)
     out = np.full((len(grid), len(models)), np.nan)
@@ -125,11 +127,11 @@ def landscape_scan_1d(models: Sequence[LikelihoodModel],
         theta[param_index] = value
         try:
             sim = forward(theta)
-        except Exception:
+        except ComputeError:
             continue
         for j, model in enumerate(models):
             try:
                 out[k, j], _ = log_likelihood(model, sim, obs, s_ref)
-            except Exception:
+            except ComputeError:
                 pass
     return out

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ComputeError, ConfigError
 from .likelihood import (LikelihoodModel, MisfitCache, compute_misfits,
                          conjugate_gamma_increments, log_likelihood_from_misfit)
 from .priors import (GammaPrior, ProposalSpec, UniformBoxPrior,
@@ -159,8 +159,10 @@ def mh_step(state: ChainState, problem: Problem, proposal: ProposalSpec,
     """One random-walk step on theta at fixed s.
 
     Candidates outside the prior box are rejected without running the
-    forward model; a forward-model failure at the candidate also counts
-    as a rejection (with a warning) rather than killing the chain.
+    forward model; a ComputeError at the candidate (an unstable solve, a
+    non-finite forward output, a failed scaling) also counts as a rejection,
+    with a warning, rather than killing the chain.  Any other exception is
+    a programming error and propagates.
     """
     cand_theta = propose(state.theta, proposal, rng)
     cand_log_prior = problem.theta_prior.log_density(cand_theta)
@@ -169,7 +171,7 @@ def mh_step(state: ChainState, problem: Problem, proposal: ProposalSpec,
         return state, False
     try:
         cand = _evaluate(problem, cand_theta, state.s)
-    except Exception as exc:
+    except ComputeError as exc:
         logger.warning("forward model failed at candidate %s: %s",
                        np.array2string(cand_theta, precision=6), exc)
         accept_decision(-np.inf, rng)

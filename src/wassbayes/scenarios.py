@@ -111,6 +111,8 @@ class Scenario:
     kind: str
     config: dict
     compiled: _Inversion | _ScalingStudy = field(repr=False)
+    # dotted path of every config key compilation looked up, present or not
+    reads: frozenset = field(default=frozenset(), repr=False)
 
     @property
     def fingerprint(self) -> str:
@@ -120,6 +122,39 @@ class Scenario:
 def config_fingerprint(cfg: dict) -> str:
     canonical = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class _ReadLog(dict):
+    """A config mapping that logs the dotted path of every key looked up in it.
+
+    Nested mappings are logs too, and other values are deep copies, so
+    compiling through one leaves the caller's config untouched.
+    """
+
+    def __init__(self, cfg: dict, log: set, prefix: str = ""):
+        super().__init__(
+            (k, _ReadLog(v, log, f"{prefix}{k}.") if isinstance(v, dict) else copy.deepcopy(v))
+            for k, v in cfg.items())
+        self._log, self._prefix = log, prefix
+
+    def __getitem__(self, key):
+        self._log.add(f"{self._prefix}{key}")
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self._log.add(f"{self._prefix}{key}")
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self._log.add(f"{self._prefix}{key}")
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self._log.add(f"{self._prefix}{key}")
+        return super().setdefault(key, default)
+
+    def plain(self) -> dict:
+        return {k: v.plain() if isinstance(v, _ReadLog) else v for k, v in self.items()}
 
 
 def _need(cfg: dict, key: str, where: str):
@@ -176,7 +211,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     """
     if not isinstance(cfg, dict):
         raise ConfigError("scenario config must be a mapping")
-    cfg = copy.deepcopy(cfg)
+    reads = set()
+    cfg = _ReadLog(cfg, reads)
     kind = cfg.setdefault("kind", KIND_INVERSION)
     name = _need(cfg, "name", "")
     if not isinstance(name, str) or not name:
@@ -187,7 +223,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
         compiled = _compile_inversion(cfg)
     else:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    return Scenario(name=name, kind=kind, config=cfg, compiled=compiled)
+    return Scenario(name=name, kind=kind, config=cfg.plain(), compiled=compiled,
+                    reads=frozenset(reads))
 
 
 def _compile_scaling_study(cfg: dict) -> _ScalingStudy:
@@ -391,6 +428,28 @@ def apply_overrides(cfg: dict, assignments: list[str]) -> dict:
     return cfg
 
 
+def check_overrides(scenario: Scenario, assignments: list[str]) -> None:
+    """Reject an override that sets a field the scenario's compilation never reads.
+
+    The assigned dotted path, and every key inside a mapping value, must be
+    one that compiling ``scenario`` looked up; anything else (a misspelt
+    ``schedule.total_iter``) would be silently ignored.
+    """
+    for assignment in assignments:
+        key = assignment.partition("=")[0]
+        node = scenario.config
+        for part in key.split("."):
+            node = node[part]
+        pending = [(key, node)]
+        while pending:
+            path, value = pending.pop()
+            if path not in scenario.reads:
+                raise ConfigError(f"override path {path!r} is not a field this "
+                                  f"{scenario.kind} scenario reads")
+            if isinstance(value, dict):
+                pending.extend((f"{path}.{k}", v) for k, v in value.items())
+
+
 # ---------------------------------------------------------------------------
 # Compiling a forward config into a model
 
@@ -495,15 +554,22 @@ def write_chain_csv(path: Path, chain: Chain) -> None:
 
 
 def read_chain_csv(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Back out (iterations, thetas, s, accepted) from a chain CSV."""
+    """Back out (iterations, thetas, s, accepted) from a chain CSV.
+
+    A file that is not a chain CSV, or holds a malformed or non-finite
+    entry, is a ConfigError.
+    """
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
     if header[0] != "iteration" or header[-2:] != ["s", "accepted"]:
-        raise ValueError(f"{path} does not look like a chain CSV")
+        raise ConfigError(f"{path} does not look like a chain CSV")
     m = len(header) - 3
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != m + 3:
-        raise ValueError(f"{path}: malformed rows")
+    try:
+        data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed rows: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != m + 3 or not np.all(np.isfinite(data)):
+        raise ConfigError(f"{path}: malformed rows")
     return (data[:, 0].astype(np.int64), data[:, 1:1 + m], data[:, 1 + m],
             data[:, 2 + m].astype(bool))
 

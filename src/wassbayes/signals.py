@@ -2,14 +2,17 @@
 
 All containers are immutable after construction and safe to share between
 threads.  Samples are stored as float64 and rejected at construction if any
-entry is non-finite, so distances and likelihoods downstream never see
-NaN or Inf.
+entry is non-finite (ComputeError: a forward model that returns NaN or Inf
+has left its valid regime), so distances and likelihoods downstream never
+see NaN or Inf.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .errors import ComputeError, ConfigError
 
 Label = tuple[int, int, int]  # (source index, receiver index, component index)
 
@@ -69,7 +72,7 @@ class Trace:
                 f"trace has {vals.shape[0]} samples but grid expects {self.grid.n}"
             )
         if not np.all(np.isfinite(vals)):
-            raise ValueError("trace contains non-finite samples")
+            raise ComputeError("trace contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -110,7 +113,7 @@ class Gather:
         if vals.shape[0] != len(labels):
             raise ValueError(f"{vals.shape[0]} traces but {len(labels)} labels")
         if not np.all(np.isfinite(vals)):
-            raise ValueError("gather contains non-finite samples")
+            raise ComputeError("gather contains non-finite samples")
         index = {}
         for k, lab in enumerate(labels):
             if lab in index:
@@ -163,17 +166,22 @@ def write_gather_csv(gather: Gather, path) -> None:
 
 
 def read_gather_csv(path) -> Gather:
+    """Read a gather written by write_gather_csv; a malformed file is a ConfigError."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         rows = [line.strip().split(",") for line in fh if line.strip()]
-    if header[0] != "time":
-        raise ValueError(f"first column must be 'time', got {header[0]!r}")
-    labels = tuple(_parse_label_name(name) for name in header[1:])
-    data = np.array([[float(x) for x in row] for row in rows])
-    times = data[:, 0]
-    if len(times) < 2:
-        raise ValueError("gather file holds fewer than 2 samples")
-    grid = TimeGrid(t0=float(times[0]), dt=float((times[-1] - times[0]) / (len(times) - 1)),
-                    n=len(times))
-    return Gather(grid, data[:, 1:].T, labels)
-
+    try:
+        if header[0] != "time":
+            raise ValueError(f"first column must be 'time', got {header[0]!r}")
+        labels = tuple(_parse_label_name(name) for name in header[1:])
+        data = np.array([[float(x) for x in row] for row in rows])
+        if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != len(header):
+            raise ValueError("expected at least 2 rows of one time and one value per trace")
+        if not np.all(np.isfinite(data)):
+            raise ValueError("non-finite entry")
+        times = data[:, 0]
+        grid = TimeGrid(t0=float(times[0]),
+                        dt=float((times[-1] - times[0]) / (len(times) - 1)), n=len(times))
+        return Gather(grid, data[:, 1:].T, labels)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed gather CSV: {exc}") from None

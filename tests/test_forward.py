@@ -1,8 +1,12 @@
+import contextlib
 import math
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -544,6 +548,12 @@ class TestBatchedSources:
         g = wb.acoustic_simulate(small_acoustic(), np.array([1.0]))
         assert g.values.base is None
         assert not g.values.flags.writeable
+        # split over threads, every group writes into the one records matrix
+        model = node_model(20, ((5, 5), (10, 10), (15, 15)), ((3, 3),))
+        with forced_groups([0, 1, 3]):
+            g = wb.acoustic_simulate(model, np.array([1.0]))
+        assert g.values.base is None
+        assert not g.values.flags.writeable
 
     def test_errors_raise_before_the_kernel(self, monkeypatch):
         def kernel(*args, **kwargs):
@@ -569,6 +579,148 @@ class TestBatchedSources:
             wb.leapfrog_solve(c2, 0.2, 0.05, 0)
         with pytest.raises(ValueError):
             wb.leapfrog_solve(c2, 0.2, 0.05, 10, record_idx=np.array([[11, 0]]))
+
+
+@contextlib.contextmanager
+def forced_groups(bounds):
+    """acoustic_simulate with the given source-group bounds, whatever the gate says."""
+    with mock.patch.object(forward_module, "_source_groups", lambda s, n: list(bounds)):
+        yield
+
+
+def counted_kernel(monkeypatch) -> list[tuple[int, str]]:
+    """(source count, thread name) of every _leapfrog call."""
+    calls = []
+    kernel = forward_module._leapfrog
+
+    def counting(c2, dx, dt, n_steps, patches, *args, **kwargs):
+        calls.append((len(patches), threading.current_thread().name))
+        return kernel(c2, dx, dt, n_steps, patches, *args, **kwargs)
+
+    monkeypatch.setattr(forward_module, "_leapfrog", counting)
+    return calls
+
+
+def ten_block_sized_model(n=5):
+    """The ten-block geometry (5 sources, 101 x 101 nodes) over n trace samples."""
+    fwd = wb.builtin_config("ten-block-tomography")["forward"]
+    return wb.AcousticModel(
+        dx=fwd["dx"], solver_dt=fwd["solver_dt"],
+        grid=wb.make_grid(0.0, (n - 1) * 0.005, n),
+        sources=tuple(map(tuple, fwd["sources"])),
+        receivers=tuple(map(tuple, fwd["receivers"])),
+        block_rows=fwd["block_rows"], block_cols=fwd["block_cols"])
+
+
+class TestSourceThreads:
+    """Sources split over threads give the one-call kernel's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_any_partition_equals_one_call(self, data):
+        k = data.draw(st.sampled_from([50, 55, 60, 64]), label="nodes")
+        edge = st.sampled_from([0, 1, 2, k - 2, k - 1, k])
+        node = st.one_of(edge, st.integers(min_value=0, max_value=k))
+        n_src = data.draw(st.integers(min_value=1, max_value=6), label="sources")
+        sources = data.draw(st.lists(st.tuples(node, node), min_size=n_src,
+                                     max_size=n_src), label="source nodes")
+        receivers = data.draw(st.lists(st.tuples(node, node), min_size=1,
+                                       max_size=6), label="receiver nodes")
+        receivers += sources
+        cuts = data.draw(st.sets(st.integers(min_value=1, max_value=n_src - 1),
+                                 max_size=n_src - 1), label="cuts") if n_src > 1 else set()
+        bounds = [0, *sorted(cuts), n_src]
+        rows = data.draw(st.integers(min_value=1, max_value=2), label="rows")
+        cols = data.draw(st.integers(min_value=1, max_value=3), label="cols")
+        speeds = data.draw(st.lists(st.floats(min_value=0.3, max_value=2.7),
+                                    min_size=rows * cols, max_size=rows * cols),
+                           label="speeds")
+        decim = data.draw(st.integers(min_value=1, max_value=3), label="decim")
+        model = node_model(k, sources, receivers, (rows, cols), n=9, decim=decim)
+        theta = np.array(speeds)
+        with forced_groups([0, n_src]):
+            one = wb.acoustic_simulate(model, theta)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the groups as finely as possible
+        try:
+            with forced_groups(bounds):
+                split = wb.acoustic_simulate(model, theta)
+        finally:
+            sys.setswitchinterval(interval)
+        assert same_bits(split.values, one.values)
+        assert split.labels == one.labels
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch):
+        kernel = forward_module._leapfrog
+
+        def failing_off_main(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                raise TypeError("kernel failed in a worker")
+            return kernel(*args, **kwargs)
+
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+        monkeypatch.setattr(forward_module, "_leapfrog", failing_off_main)
+        model = node_model(20, ((5, 5), (10, 10), (15, 15)), ((3, 3),))
+        before = threading.active_count()
+        with forced_groups([0, 1, 2, 3]), pytest.raises(TypeError, match="worker"):
+            wb.acoustic_simulate(model, np.array([1.0]))
+        assert hooked == []
+        assert threading.active_count() == before
+
+    def test_caller_exception_waits_for_the_workers(self, monkeypatch):
+        kernel = forward_module._leapfrog
+        finished = []
+
+        def failing_on_main(*args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                raise MemoryError("kernel failed on the calling thread")
+            time.sleep(0.05)
+            finished.append(kernel(*args, **kwargs))
+
+        monkeypatch.setattr(forward_module, "_leapfrog", failing_on_main)
+        model = node_model(20, ((5, 5), (10, 10)), ((3, 3),))
+        with forced_groups([0, 1, 2]), pytest.raises(MemoryError):
+            wb.acoustic_simulate(model, np.array([1.0]))
+        assert len(finished) == 1
+
+    def test_two_block_makes_one_call(self, monkeypatch):
+        calls = counted_kernel(monkeypatch)
+        bundle = wb.build_forward(wb.builtin_config("two-block-tomography")["forward"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        bundle.simulate(np.array([2.0, 3.0]))
+        assert calls == [(2, threading.main_thread().name)]
+
+    def test_ten_block_splits_only_on_more_cores(self, monkeypatch):
+        calls = counted_kernel(monkeypatch)
+        model = ten_block_sized_model()
+        theta = np.full(10, 3.0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one = wb.acoustic_simulate(model, theta)
+        assert calls == [(5, threading.main_thread().name)]
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        split = wb.acoustic_simulate(model, theta)
+        assert sorted(n for n, _ in calls) == [2, 3]
+        assert (3, threading.main_thread().name) in calls
+        assert same_bits(split.values, one.values)
+        # 51,005 nodes give at most two threads of 20,000, whatever the cores
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        wb.acoustic_simulate(model, theta)
+        assert len(calls) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        calls = counted_kernel(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        wb.acoustic_simulate(ten_block_sized_model(), np.full(10, 3.0))
+        assert len(calls) == 1
+        calls.clear()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        wb.acoustic_simulate(ten_block_sized_model(), np.full(10, 3.0))
+        assert len(calls) == 2
 
 
 class TestReceiverLayouts:

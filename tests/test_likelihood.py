@@ -153,7 +153,7 @@ class TestLandscape:
 
         def forward(theta):
             if theta[0] > 3.0:
-                raise RuntimeError("unstable")
+                raise wb.ComputeError("unstable")
             return wb.Gather(grid, np.full((1, 11), theta[0]), [(0, 0, 0)])
 
         obs = forward(np.array([2.0]))
@@ -165,6 +165,25 @@ class TestLandscape:
         assert vals.shape == (2, 2)
         assert np.isfinite(vals[0]).all()
         assert np.isnan(vals[1]).all()
+
+    def test_programming_errors_propagate(self):
+        grid = wb.make_grid(0.0, 1.0, 11)
+
+        def forward(theta):
+            if theta[0] > 3.0:
+                raise TypeError("forward called with the wrong argument")
+            return wb.Gather(grid, np.full((1, 11), theta[0]), [(0, 0, 0)])
+
+        obs = forward(np.array([2.0]))
+        model = wb.LikelihoodModel(kind=wb.KIND_GAUSS_L2, n_obs=11)
+        with pytest.raises(TypeError, match="wrong argument"):
+            wb.landscape_scan_1d([model], forward, obs, 0, [2.0, 5.0],
+                                 np.array([0.0]), s_ref=1.0)
+        # observed traces under other labels: a caller's bug, not a NaN point
+        other = wb.Gather(grid, obs.values, [(0, 1, 0)])
+        with pytest.raises(ValueError, match="labels"):
+            wb.landscape_scan_1d([model], forward, other, 0, [2.0],
+                                 np.array([0.0]), s_ref=1.0)
 
     def test_likelihood_failure_yields_nan_for_that_model_only(self):
         grid = wb.make_grid(0.0, 1.0, 11)

@@ -143,7 +143,7 @@ class TestMhStep:
 
         def flaky(theta):
             if abs(theta[0] - 3.0) > 1e-12:
-                raise RuntimeError("solver blew up")
+                raise wb.ComputeError("solver blew up")
             return base(theta)
 
         problem = make_problem()
@@ -181,6 +181,24 @@ class TestMhStep:
                                          np.random.default_rng(5))
         assert not accepted
         assert new_state is state
+
+    def test_programming_error_in_forward_propagates(self):
+        grid = wb.make_grid(0.0, 1.0, 11)
+        base = constant_forward(grid, 11)
+
+        def broken(theta):
+            if abs(theta[0] - 3.0) > 1e-12:
+                raise TypeError("forward called with the wrong argument")
+            return base(theta)
+
+        problem = make_problem()
+        problem = wb.Problem(
+            forward=broken, observed=problem.observed,
+            likelihood=problem.likelihood, theta_prior=problem.theta_prior,
+            proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
+            s_prior=problem.s_prior)
+        with pytest.raises(TypeError, match="wrong argument"):
+            wb.run_chain(problem, wb.ChainSchedule(20, 5, 1, seed=1))
 
     def test_state_cache_stays_coherent(self):
         problem = make_problem(theta_true=4.0, proposal_var=1.0)

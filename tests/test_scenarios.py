@@ -759,6 +759,61 @@ class TestCli:
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["1,abc,2.0,1", "1,nan,2.0,1", "1,2.0,1"])
+    def test_malformed_chain_csv_exits_2(self, tmp_path, row, capsys):
+        (tmp_path / "chain.csv").write_text(f"iteration,theta_1,s,accepted\n{row}\n")
+        assert main(["summarize", "--scenario", "linear-gaussian",
+                     "--out", str(tmp_path)]) == 2
+        assert "malformed rows" in capsys.readouterr().err
+        assert not list(tmp_path.glob("hist_*"))
+
+    def test_value_error_is_not_a_numerical_failure(self, tmp_path, monkeypatch):
+        import wassbayes.cli as cli
+
+        def broken(scenario, out):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setattr(cli, "run_simulate", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            main(["simulate", "--scenario", "linear-gaussian", "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize("override,path", [
+        ("schedule.total_iter=100", "schedule.total_iter"),
+        ('noise={"gausian_sigma": 0.5}', "noise.gausian_sigma"),
+        ("theta_prior.bound=[[0, 1]]", "theta_prior.bound"),
+    ])
+    def test_unread_override_exits_2(self, override, path, capsys):
+        assert main(["validate", "--scenario", "linear-gaussian",
+                     "--override", override]) == 2
+        err = capsys.readouterr().err
+        assert f"override path {path!r} is not a field" in err
+
+    @pytest.mark.parametrize("scenario,overrides", [
+        ("two-block-tomography", ["schedule.total_iters=150", "schedule.burn_in=100",
+                                  "proposal.adapt_after=50"]),
+        ("ten-block-tomography", ["schedule.total_iters=20", "schedule.burn_in=10",
+                                  "schedule.thinning=1", "proposal.adapt_after=0",
+                                  "s_prior.shape=1e8", "s_prior.rate=100"]),
+        # optional fields absent from the resolved config are read too
+        ("pulse-location-quick", ["noise.gamma_shape=60", "landscape.step=0.5",
+                                  'likelihood.scaling={"kind": "square"}']),
+        ("shift-study-wide", ["grid.n_samples=201", "c_linexp=2.0"]),
+    ])
+    def test_read_overrides_accepted(self, scenario, overrides, capsys):
+        args = [a for o in overrides for a in ("--override", o)]
+        assert main(["validate", "--scenario", scenario, *args]) == 0
+
+    @pytest.mark.parametrize("override", [
+        "forward.sources=[[0, 0, 0]]",
+        "forward.sources=[[0]]",
+        "forward.sources=[[0, Infinity]]",
+        "forward.receivers=[[0, -0.04, 1.0]]",
+    ])
+    def test_geometry_needs_two_finite_coordinates(self, override, capsys):
+        assert main(["validate", "--scenario", "two-block-tomography",
+                     "--override", override]) == 2
+        assert "exactly two finite coordinates" in capsys.readouterr().err
+
     def test_dead_chain_exits_4_but_keeps_artifacts(self, tmp_path, capsys):
         rc = main(["run", "--scenario", "linear-gaussian",
                    "--override", "proposal.covariance=[[1e16]]",

@@ -39,9 +39,9 @@ class TestTrace:
 
     def test_rejects_non_finite(self):
         g = wb.make_grid(0, 1, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(wb.ComputeError):
             wb.Trace(g, [1.0, np.nan, 2.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(wb.ComputeError):
             wb.Trace(g, [1.0, np.inf, 2.0])
 
     def test_values_frozen(self):
@@ -95,7 +95,7 @@ class TestGather:
         for bad in (np.nan, np.inf, -np.inf):
             values = np.ones((2, 3))
             values[1, 2] = bad
-            with pytest.raises(ValueError):
+            with pytest.raises(wb.ComputeError):
                 wb.Gather(g, values, ((0, 0, 0), (0, 1, 0)))
 
     def test_values_frozen_copy(self):
@@ -139,4 +139,17 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("time,bogus\n0.0,1.0\n1.0,2.0\n")
         with pytest.raises(ValueError):
+            read_gather_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "0.0,1.0\n1.0,abc\n",   # not a number
+        "0.0,1.0\n1.0,nan\n",   # not finite
+        "0.0,1.0\n1.0\n",       # short row
+        "0.0,1.0\n",            # one sample
+        "",
+    ])
+    def test_malformed_file_is_a_config_error(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,s0_r0_c0\n" + body)
+        with pytest.raises(wb.ConfigError, match="malformed gather CSV"):
             read_gather_csv(path)
