@@ -22,6 +22,7 @@ class UniformBoxPrior:
             raise ValueError("bounds must be finite")
         b.setflags(write=False)
         object.__setattr__(self, "bounds", b)
+        object.__setattr__(self, "_inside_log_density", float(-np.sum(np.log(b[:, 1] - b[:, 0]))))
 
     @property
     def dim(self) -> int:
@@ -31,12 +32,10 @@ class UniformBoxPrior:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.dim,):
             raise ValueError(f"theta must have shape ({self.dim},), got {theta.shape}")
-        return bool(np.all(theta >= self.bounds[:, 0]) and np.all(theta <= self.bounds[:, 1]))
+        return bool(((theta >= self.bounds[:, 0]) & (theta <= self.bounds[:, 1])).all())
 
     def log_density(self, theta: np.ndarray) -> float:
-        if not self.contains(theta):
-            return -np.inf
-        return float(-np.sum(np.log(self.bounds[:, 1] - self.bounds[:, 0])))
+        return self._inside_log_density if self.contains(theta) else -np.inf
 
 
 @dataclass(frozen=True)

@@ -146,12 +146,12 @@ def accept_decision(log_alpha: float, rng: np.random.Generator) -> bool:
     return math.log(u) <= log_alpha if u > 0 else True
 
 
-def _evaluate(problem: Problem, theta: np.ndarray, s: float) -> ChainState:
+def _evaluate(problem: Problem, theta: np.ndarray, s: float,
+              log_prior: float) -> ChainState:
     sim = problem.forward(theta)
     cache = compute_misfits(problem.likelihood, sim, problem.observed)
     ll = log_likelihood_from_misfit(problem.likelihood, cache.total, s)
-    return ChainState(theta=theta, s=s, misfit=cache, log_lik=ll,
-                      log_prior=problem.theta_prior.log_density(theta))
+    return ChainState(theta=theta, s=s, misfit=cache, log_lik=ll, log_prior=log_prior)
 
 
 def mh_step(state: ChainState, problem: Problem, proposal: ProposalSpec,
@@ -170,7 +170,7 @@ def mh_step(state: ChainState, problem: Problem, proposal: ProposalSpec,
         accept_decision(-np.inf, rng)
         return state, False
     try:
-        cand = _evaluate(problem, cand_theta, state.s)
+        cand = _evaluate(problem, cand_theta, state.s, cand_log_prior)
     except ComputeError as exc:
         logger.warning("forward model failed at candidate %s: %s",
                        np.array2string(cand_theta, precision=6), exc)
@@ -205,7 +205,8 @@ def run_chain(problem: Problem, schedule: ChainSchedule) -> Chain:
     adapt_after = proposal.adapt_after
     check_adaptation(adapt_after, schedule.burn_in, m)
 
-    state = _evaluate(problem, problem.theta0, problem.s0)
+    state = _evaluate(problem, problem.theta0, problem.s0,
+                      problem.theta_prior.log_density(problem.theta0))
     n_retained = schedule.retained_count
     thetas = np.empty((n_retained, m))
     s_values = np.empty(n_retained)

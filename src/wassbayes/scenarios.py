@@ -497,9 +497,12 @@ def build_forward(fwd: dict) -> ForwardBundle:
             grid = make_grid(0.0, float(fwd.setdefault("t_end", 1.0)),
                              int(_need(fwd, "n_samples", "forward.")))
 
+            labels = ((0, 0, 0),)
+
             def simulate(theta: np.ndarray) -> Gather:
                 values = np.full((1, grid.n), float(np.asarray(theta)[0]))
-                return Gather(grid, values, [(0, 0, 0)])
+                values.setflags(write=False)  # owned and frozen: kept without a copy
+                return Gather(grid, values, labels)
 
             return ForwardBundle(simulate=simulate, n_params=1, grid=grid)
     except ConfigError:

@@ -39,10 +39,6 @@ class TimeGrid:
         if not np.isfinite(self.t0):
             raise ValueError(f"grid origin must be finite, got t0={self.t0}")
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.n - 1)
-
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n)
 
@@ -75,13 +71,6 @@ class Trace:
             raise ComputeError("trace contains non-finite samples")
         object.__setattr__(self, "values", vals)
 
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-    def times(self) -> np.ndarray:
-        return self.grid.times()
-
 
 @dataclass(frozen=True, eq=False)
 class Gather:
@@ -102,7 +91,7 @@ class Gather:
                 and not vals.flags.writeable and vals.dtype == np.float64
                 and vals.flags.c_contiguous):
             vals = np.array(vals, dtype=np.float64, order="C")
-        labels = tuple(tuple(int(i) for i in lab) for lab in self.labels)
+        labels = tuple([tuple(map(int, lab)) for lab in self.labels])
         if vals.ndim != 2 or vals.shape[0] == 0:
             raise ValueError(f"gather values must be a non-empty (R, n) matrix, "
                              f"got shape {vals.shape}")
@@ -112,21 +101,16 @@ class Gather:
             )
         if vals.shape[0] != len(labels):
             raise ValueError(f"{vals.shape[0]} traces but {len(labels)} labels")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ComputeError("gather contains non-finite samples")
-        index = {}
-        for k, lab in enumerate(labels):
-            if lab in index:
-                raise ValueError(f"duplicate trace label {lab}")
-            index[lab] = k
+        index = dict(zip(labels, range(len(labels))))
+        if len(index) != len(labels):
+            dup = next(lab for k, lab in enumerate(labels) if labels.index(lab) != k)
+            raise ValueError(f"duplicate trace label {dup}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
-
-    @property
-    def n_traces(self) -> int:
-        return self.values.shape[0]
 
     def trace_for(self, label: Label) -> Trace:
         return Trace(self.grid, self.values[self._index[tuple(label)]])

@@ -119,6 +119,59 @@ class TestDalembert:
             model.unpack(np.array([1.0, 2.0]))
 
 
+def plain_profile(x, x0, a):
+    """The pulse with exp evaluated on every argument: the fast path's oracle."""
+    d = np.asarray(x, dtype=np.float64) - x0
+    return a * (np.exp(-100.0 * (d - 0.5) ** 2)
+                + np.exp(-100.0 * d ** 2)
+                + np.exp(-100.0 * (d + 0.5) ** 2))
+
+
+class TestPulseFastPathOracle:
+    """pulse_profile and dalembert_simulate equal the plain-exp pulse bit for bit."""
+
+    def test_underflow_sweep(self):
+        # exponents of the nearest bump swept densely through [-800, 0] and
+        # through the cut at -746 and the subnormal range down to -744, on
+        # both sides of the three bumps
+        args = np.concatenate((np.linspace(-800.0, 0.0, 200_001),
+                               np.linspace(-746.0, -744.0, 20_001)))
+        far = 0.5 + np.sqrt(-args / 100.0)
+        x = 0.3 + np.concatenate((far, -far))
+        for a in (5.0, 1.0, 2.0 ** -40):
+            ref = plain_profile(x, 0.3, a)
+            assert same_bits(wb.pulse_profile(x, 0.3, a), ref)
+        tiny = np.finfo(np.float64).tiny
+        assert np.any((ref > 0) & (ref < tiny))  # subnormal outputs
+        assert np.any(ref == 0.0)
+        near_cut = -100.0 * (far - 0.5) ** 2
+        assert np.any(near_cut <= -746.0) and np.any((near_cut > -746.0) & (near_cut < -744.0))
+
+    def test_nan_center_stays_nan(self):
+        x = np.linspace(-4.0, 4.0, 81)
+        assert np.all(np.isnan(wb.pulse_profile(x, np.nan, 5.0)))
+        grid = wb.make_grid(0.0, 5.0, 101)
+        model = wb.DalembertModel(receivers=np.arange(-3.0, 3.1, 1.0), grid=grid,
+                                  mode="location-amplitude")
+        with pytest.raises(wb.ComputeError):
+            wb.dalembert_simulate(model, np.array([np.nan, 5.0]))
+
+    @pytest.mark.parametrize("mode,theta", [("amplitude", [5.0]),
+                                            ("location-amplitude", [0.6, 3.0]),
+                                            ("location-amplitude", [-2.9, 7.5])])
+    def test_stacked_simulate_equals_two_profiles(self, mode, theta):
+        grid = wb.make_grid(0.0, 5.0, 101)
+        receivers = np.arange(-3.0, 3.1, 1.0)
+        model = wb.DalembertModel(receivers=receivers, grid=grid, mode=mode)
+        x0, a = model.unpack(np.array(theta))
+        x, t = receivers[:, None], grid.times()[None, :]
+        got = wb.dalembert_simulate(model, np.array(theta)).values
+        assert same_bits(got, 0.5 * (wb.pulse_profile(x - t, x0, a)
+                                     + wb.pulse_profile(x + t, x0, a)))
+        assert same_bits(got, 0.5 * (plain_profile(x - t, x0, a)
+                                     + plain_profile(x + t, x0, a)))
+
+
 class TestRicker:
     def test_peak_and_shoulder(self):
         assert float(wb.ricker_wavelet(0.1)) == 1000.0

@@ -11,6 +11,11 @@ def constant_forward(grid, n):
     return forward
 
 
+def start_state(problem):
+    return _evaluate(problem, problem.theta0, problem.s0,
+                     problem.theta_prior.log_density(problem.theta0))
+
+
 def make_problem(theta_true=4.0, s0=2.0, n=11, s_mode=wb.S_MODE_GIBBS,
                  proposal_var=0.25, bounds=((-10.0, 10.0),), theta0=(3.0,)):
     grid = wb.make_grid(0.0, 1.0, n)
@@ -117,7 +122,7 @@ class TestMhStep:
             likelihood=problem.likelihood, theta_prior=problem.theta_prior,
             proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
             s_prior=problem.s_prior)
-        state = _evaluate(problem, problem.theta0, problem.s0)
+        state = start_state(problem)
         rng = np.random.default_rng(7)
         for _ in range(50):
             state, accepted = wb.mh_step(state, problem, problem.proposal, rng)
@@ -126,7 +131,7 @@ class TestMhStep:
     def test_out_of_box_rejected_and_stream_advances(self):
         problem = make_problem(bounds=((2.9, 3.1),), theta0=(3.0,),
                                proposal_var=100.0)
-        state = _evaluate(problem, problem.theta0, problem.s0)
+        state = start_state(problem)
         rng = np.random.default_rng(5)
         twin = np.random.default_rng(5)
         new_state, accepted = wb.mh_step(state, problem, problem.proposal, rng)
@@ -152,7 +157,7 @@ class TestMhStep:
             likelihood=problem.likelihood, theta_prior=problem.theta_prior,
             proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
             s_prior=problem.s_prior)
-        state = _evaluate(problem, problem.theta0, problem.s0)
+        state = start_state(problem)
         rng = np.random.default_rng(5)
         twin = np.random.default_rng(5)
         _, accepted = wb.mh_step(state, problem, problem.proposal, rng)
@@ -176,7 +181,7 @@ class TestMhStep:
             likelihood=problem.likelihood, theta_prior=problem.theta_prior,
             proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
             s_prior=problem.s_prior)
-        state = _evaluate(problem, problem.theta0, problem.s0)
+        state = start_state(problem)
         new_state, accepted = wb.mh_step(state, problem, problem.proposal,
                                          np.random.default_rng(5))
         assert not accepted
@@ -200,9 +205,37 @@ class TestMhStep:
         with pytest.raises(TypeError, match="wrong argument"):
             wb.run_chain(problem, wb.ChainSchedule(20, 5, 1, seed=1))
 
+    def test_one_prior_evaluation_per_candidate(self, monkeypatch):
+        # the candidate's log prior is computed once, for the box check, and
+        # reused for the acceptance ratio of every in-box candidate
+        problem = make_problem(bounds=((2.0, 4.0),), proposal_var=1.0)
+        state = start_state(problem)
+        calls = {"prior": 0, "forward": 0}
+        log_density = wb.UniformBoxPrior.log_density
+
+        def counting_log_density(self, theta):
+            calls["prior"] += 1
+            return log_density(self, theta)
+
+        def counting_forward(theta):
+            calls["forward"] += 1
+            return problem.forward(theta)
+
+        monkeypatch.setattr(wb.UniformBoxPrior, "log_density", counting_log_density)
+        counted = wb.Problem(
+            forward=counting_forward, observed=problem.observed,
+            likelihood=problem.likelihood, theta_prior=problem.theta_prior,
+            proposal=problem.proposal, theta0=problem.theta0, s0=problem.s0,
+            s_prior=problem.s_prior)
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            state, _ = wb.mh_step(state, counted, counted.proposal, rng)
+        assert 0 < calls["forward"] < 200  # in-box and out-of-box candidates
+        assert calls["prior"] == 200
+
     def test_state_cache_stays_coherent(self):
         problem = make_problem(theta_true=4.0, proposal_var=1.0)
-        state = _evaluate(problem, problem.theta0, problem.s0)
+        state = start_state(problem)
         rng = np.random.default_rng(13)
         model = problem.likelihood
         for _ in range(100):

@@ -426,7 +426,7 @@ class TestRowKernelOracle:
     @pytest.mark.parametrize("scaling", ALL_SCALINGS, ids=lambda sc: f"{sc.kind}-{sc.c}")
     def test_more_than_one_block(self, scaling):
         n_rows, n = 130, 300
-        assert n_rows * n > _BLOCK_SAMPLES
+        assert n_rows > _BLOCK_SAMPLES // (2 * n)  # more rows than one stacked block holds
         rng = np.random.default_rng(17)
         grid = wb.make_grid(0.0, 3.0, n)
         f, g = oracle_rows(rng, n_rows, n, integer=False)
