@@ -5,9 +5,7 @@ __version__ = "0.1.0"
 from .errors import ComputeError, ConfigError, HealthCheckError
 from .signals import (Gather, TimeGrid, Trace, make_grid, read_gather_csv,
                       write_gather_csv)
-from .transport import (NormalizedDensity, Scaling, apply_scaling,
-                        auto_shift_constant, default_margin, l2_distance,
-                        normalize, quantiles, w2_distance)
+from .transport import Scaling, l2_distance, w2_distance
 from .noise import NoiseSpec, pollute
 from .priors import (GammaPrior, ProposalSpec, UniformBoxPrior,
                      adapt_covariance, propose, sample_gamma)
@@ -19,10 +17,9 @@ from .sampler import (Chain, ChainSchedule, ChainState, Problem, S_MODE_FIXED,
                       S_MODE_GIBBS, accept_decision, gibbs_posterior_params,
                       gibbs_update_s, mh_step, run_chain)
 from .forward import (AcousticModel, DalembertModel, SolveResult,
-                      acoustic_simulate, dalembert_simulate, discrete_energy,
-                      face_coefficients, inset_positions, leapfrog_solve,
-                      pulse_profile, ricker_wavelet,
-                      surface_lateral_receiver_layout)
+                      acoustic_simulate, dalembert_simulate, face_coefficients,
+                      inset_positions, leapfrog_solve, pulse_profile,
+                      ricker_wavelet, surface_lateral_receiver_layout)
 from .scenarios import (ForwardBundle, Scenario, apply_overrides,
                         build_forward, build_problem, builtin_config,
                         builtin_names, chain_seed_sequence, config_fingerprint,
@@ -36,8 +33,7 @@ __all__ = [
     "ComputeError", "ConfigError", "HealthCheckError",
     "Gather", "TimeGrid", "Trace", "make_grid", "read_gather_csv",
     "write_gather_csv",
-    "NormalizedDensity", "Scaling", "apply_scaling", "auto_shift_constant",
-    "default_margin", "l2_distance", "normalize", "quantiles", "w2_distance",
+    "Scaling", "l2_distance", "w2_distance",
     "NoiseSpec", "pollute",
     "GammaPrior", "ProposalSpec", "UniformBoxPrior", "adapt_covariance",
     "propose", "sample_gamma",
@@ -48,8 +44,8 @@ __all__ = [
     "S_MODE_GIBBS", "accept_decision", "gibbs_posterior_params",
     "gibbs_update_s", "mh_step", "run_chain",
     "AcousticModel", "DalembertModel", "SolveResult", "acoustic_simulate",
-    "dalembert_simulate", "discrete_energy", "face_coefficients",
-    "inset_positions", "leapfrog_solve", "pulse_profile", "ricker_wavelet",
+    "dalembert_simulate", "face_coefficients", "inset_positions",
+    "leapfrog_solve", "pulse_profile", "ricker_wavelet",
     "surface_lateral_receiver_layout",
     "ForwardBundle", "Scenario", "apply_overrides", "build_forward",
     "build_problem", "builtin_config", "builtin_names",

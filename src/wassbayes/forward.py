@@ -203,10 +203,6 @@ class AcousticModel:
                       0, self.block_rows - 1)
         return col * self.block_rows + row
 
-    def speed_field(self, theta: np.ndarray, x1, x2) -> np.ndarray:
-        theta = self._check_theta(theta)
-        return theta[self.block_index(x1, x2)]
-
     def _check_theta(self, theta) -> np.ndarray:
         theta = np.asarray(theta, dtype=np.float64)
         if theta.shape != (self.n_params,):
@@ -262,10 +258,9 @@ def face_coefficients(c2_cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
-    records: np.ndarray          # (n_record_times, n_receivers)
-    final: np.ndarray            # u at the last step
-    previous: np.ndarray         # u one step before the last
-    energies: np.ndarray | None  # midpoint energy per step, if collected
+    records: np.ndarray   # (n_record_times, n_receivers)
+    final: np.ndarray     # u at the last step
+    previous: np.ndarray  # u one step before the last
 
 
 def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
@@ -273,7 +268,7 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
               record_every: int, u0: np.ndarray | None = None,
               v0: np.ndarray | None = None,
               field_forcing: Callable[[float], np.ndarray] | None = None,
-              collect_energy: bool = False, records: np.ndarray | None = None):
+              records: np.ndarray | None = None):
     """One leapfrog solve per forcing patch, all stepped together in place.
 
     Source s owns nodes s*N .. (s+1)*N - 1 of one flat buffer, node (i, j)
@@ -289,8 +284,8 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     elsewhere; with initial data or a field forcing F is built on every node.
 
     Returns the (S * R, n_records) records (row s*R + r: receiver r of
-    source s), written into records when it is given, the last two flat
-    states and the energies (one source only).
+    source s), written into records when it is given, and the last two flat
+    states.
     """
     nx, nz = c2_cells.shape
     shape = (nx + 1, nz + 1)
@@ -340,7 +335,6 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
                  + record_idx[:, 0] * m + record_idx[:, 1]).ravel()
     if records is None:
         records = np.empty((rec_nodes.size, n_steps // record_every + 1))
-    energies = np.empty(n_steps) if collect_energy else None
 
     def record(step: int, v: np.ndarray) -> None:
         if step % record_every == 0:
@@ -361,9 +355,6 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     apply_operator(u_prev, 0)
     np.multiply(lap, 0.5 * dt * dt, out=lap)
     u[lo:hi] += lap
-    if collect_energy:
-        energies[0] = discrete_energy(u_prev.reshape(shape), u.reshape(shape),
-                                      ax, ay, dx, dt)
     record(1, u)
 
     dt2 = dt * dt
@@ -375,11 +366,8 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
         np.subtract(twice, u_prev[lo:hi], out=twice)
         np.add(twice, lap, out=u_next[lo:hi])
         u_prev, u, u_next = u, u_next, u_prev
-        if collect_energy:
-            energies[n] = discrete_energy(u_prev.reshape(shape), u.reshape(shape),
-                                          ax, ay, dx, dt)
         record(n + 1, u)
-    return records, u, u_prev, energies
+    return records, u, u_prev
 
 
 def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
@@ -389,8 +377,7 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
                    source_series: np.ndarray | None = None,
                    field_forcing: Callable[[float], np.ndarray] | None = None,
                    record_idx: np.ndarray | None = None,
-                   record_every: int = 1,
-                   collect_energy: bool = False) -> SolveResult:
+                   record_every: int = 1) -> SolveResult:
     """Explicit leapfrog for u_tt = div(a^2 grad u) + F with Dirichlet walls.
 
     The state lives on nodes, shape (nx+1, nz+1).  F at step n is the sum of
@@ -417,24 +404,11 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
         ii, jj = ii[inside], jj[inside]  # the walls hold u = 0: no forcing there
     else:
         source_series = None
-    records, final, previous, energies = _leapfrog(
+    records, final, previous = _leapfrog(
         c2_cells, dx, dt, n_steps, [(ii, jj)], source_series, rec,
-        record_every, u0, v0, field_forcing, collect_energy)
+        record_every, u0, v0, field_forcing)
     return SolveResult(records=records.T, final=final.reshape(shape),
-                       previous=previous.reshape(shape), energies=energies)
-
-
-def discrete_energy(u_a: np.ndarray, u_b: np.ndarray, ax: np.ndarray,
-                    ay: np.ndarray, dx: float, dt: float) -> float:
-    """Conserved midpoint energy of the leapfrog scheme between two states."""
-    kinetic = 0.5 * float(np.sum(((u_b - u_a) / dt) ** 2))
-    dxa = u_a[1:, 1:-1] - u_a[:-1, 1:-1]
-    dxb = u_b[1:, 1:-1] - u_b[:-1, 1:-1]
-    dya = u_a[1:-1, 1:] - u_a[1:-1, :-1]
-    dyb = u_b[1:-1, 1:] - u_b[1:-1, :-1]
-    potential = 0.5 * (float(np.sum(ax * dxa * dxb))
-                       + float(np.sum(ay * dya * dyb))) / (dx * dx)
-    return kinetic + potential
+                       previous=previous.reshape(shape))
 
 
 def _source_groups(n_sources: int, nodes_per_source: int) -> list[int]:

@@ -29,11 +29,6 @@ class NoiseSpec:
         if self.gaussian_sigma is not None and not self.gaussian_sigma > 0:
             raise ValueError(f"gaussian sigma must be positive, got {self.gaussian_sigma}")
 
-    @property
-    def is_identity(self) -> bool:
-        return (self.gamma_shape is None and self.uniform_width is None
-                and self.gaussian_sigma is None)
-
 
 def pollute(gather: Gather, spec: NoiseSpec, rng: np.random.Generator) -> Gather:
     """Noisy copy of a gather; draw order is multiplicative field then additive."""

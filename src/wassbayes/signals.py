@@ -112,9 +112,6 @@ class Gather:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
 
-    def trace_for(self, label: Label) -> Trace:
-        return Trace(self.grid, self.values[self._index[tuple(label)]])
-
     def select(self, labels) -> "Gather":
         """The rows for the given labels, in that order."""
         labels = [tuple(lab) for lab in labels]

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ComputeError
-from .signals import Gather, TimeGrid, Trace
+from .signals import Gather, Trace
 
 SCALING_KINDS = ("linear", "square", "exponential", "absolute", "linexp")
 
@@ -70,33 +70,6 @@ class Scaling:
             raise ValueError(f"linear shift constant must be finite, got {self.c}")
 
 
-def _default_margin(low, high):
-    """1% of the amplitude max(high, -low) of samples in [low, high], at least 0.01."""
-    return 1e-2 * np.maximum(np.maximum(high, -low), 1.0)
-
-
-def _linear_shift(low, margin):
-    """margin - min(low, 0): samples >= low shift to >= margin."""
-    return margin - np.minimum(low, 0.0)
-
-
-def auto_shift_constant(f: Trace, g: Trace, margin: float) -> float:
-    """Shift constant for the linear scaling of the pair (f, g).
-
-    Returns margin - min(min f, min g) when that minimum is <= 0, else just
-    margin, so both shifted signals stay >= margin > 0.
-    """
-    if not margin > 0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    return float(_linear_shift(min(f.values.min(), g.values.min()), margin))
-
-
-def default_margin(f: Trace, g: Trace) -> float:
-    """Default positivity margin: 1% of the larger amplitude, at least 0.01."""
-    return float(_default_margin(min(f.values.min(), g.values.min()),
-                                 max(f.values.max(), g.values.max())))
-
-
 def _scaled_rows(values: np.ndarray, kind: str, c) -> np.ndarray:
     """Scaled samples; c is a number or, for the linear kind, one shift per row."""
     if kind == "linear":
@@ -125,13 +98,6 @@ def _scaled_rows(values: np.ndarray, kind: str, c) -> np.ndarray:
     return out
 
 
-def apply_scaling(trace: Trace, scaling: Scaling) -> Trace:
-    """New trace holding the scaled samples."""
-    if scaling.kind == "linear" and scaling.c is None:
-        raise ValueError("linear scaling with c=None must be resolved per pair first")
-    return Trace(trace.grid, _scaled_rows(trace.values[None], scaling.kind, scaling.c)[0])
-
-
 def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit-mass weights and their CDF for each row of nonnegative samples."""
     if v.min() < 0:
@@ -152,39 +118,11 @@ def _normalize_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, cdf
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedDensity:
-    """Nonnegative weights summing to one on a time grid, with their CDF."""
-
-    grid: TimeGrid
-    weights: np.ndarray
-    cdf: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        c = np.asarray(self.cdf, dtype=np.float64)
-        if w.shape != (self.grid.n,) or c.shape != (self.grid.n,):
-            raise ValueError("weights/cdf shape must match the grid")
-        if w.min() < 0:
-            raise ValueError(f"negative weight {w.min()}")
-        if abs(float(w.sum()) - 1.0) > 1e-12 or abs(float(c[-1]) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one")
-        w.setflags(write=False)
-        c.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "cdf", c)
-
-
-def normalize(trace: Trace) -> NormalizedDensity:
-    """Normalize nonnegative samples to unit total mass and accumulate the CDF."""
-    weights, cdf = _normalize_rows(trace.values[None])
-    return NormalizedDensity(grid=trace.grid, weights=weights[0], cdf=cdf[0])
-
-
 def _quantile_rows(times: np.ndarray, cdf: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """Inverse of each row of cdf (shape (k, n)) at that row of ps (shape (k, m))."""
     # Accumulated CDFs can overshoot 1 by a few ulp; only reject real misuse.
-    if ps.size and (ps.min() < -1e-9 or ps.max() > 1 + 1e-9):
+    # Written as a negated in-range test so that NaN fails it too.
+    if ps.size and not (ps.min() >= -1e-9 and ps.max() <= 1 + 1e-9):
         raise ValueError(f"probabilities must lie in [0, 1], got range "
                          f"[{ps.min()}, {ps.max()}]")
     rows, width = cdf.shape[0], cdf.shape[1] + 1
@@ -214,18 +152,6 @@ def _quantile_rows(times: np.ndarray, cdf: np.ndarray, ps: np.ndarray) -> np.nda
     return np.minimum(out, times[-1], out=out)
 
 
-def quantiles(density: NormalizedDensity, ps) -> np.ndarray:
-    """Piecewise-linear inverse CDF evaluated at probabilities ps.
-
-    Exact level hits return the smallest grid time attaining the level;
-    probabilities between levels interpolate linearly; results clamp to
-    the grid span.
-    """
-    ps = np.asarray(ps, dtype=np.float64)
-    out = _quantile_rows(density.grid.times(), density.cdf[None], ps.reshape(1, -1))
-    return out.reshape(ps.shape)
-
-
 def _w2_rows(fv: np.ndarray, gv: np.ndarray, times: np.ndarray,
              scaling: Scaling) -> np.ndarray:
     """W2 per row pair: the (2R, n) stack of f over g is scaled and normalized once."""
@@ -233,10 +159,13 @@ def _w2_rows(fv: np.ndarray, gv: np.ndarray, times: np.ndarray,
     stack = np.concatenate((fv, gv))
     c = scaling.c
     if scaling.kind == "linear" and c is None:
+        # Per pair with samples in [low, high]: margin = 1% of max(high, -low),
+        # at least 0.01; shift = margin - min(low, 0), so both rows end >= margin.
         lows, highs = stack.min(axis=1), stack.max(axis=1)
         low = np.minimum(lows[:rows], lows[rows:])
-        shift = _linear_shift(low, _default_margin(
-            low, np.maximum(highs[:rows], highs[rows:])))
+        high = np.maximum(highs[:rows], highs[rows:])
+        margin = 1e-2 * np.maximum(np.maximum(high, -low), 1.0)
+        shift = margin - np.minimum(low, 0.0)
         c = np.concatenate((shift, shift))[:, None]
     weights, cdf = _normalize_rows(_scaled_rows(stack, scaling.kind, c))
     diff = times - _quantile_rows(times, cdf[rows:], cdf[:rows])
@@ -278,8 +207,9 @@ def w2_distance(f: Trace | Gather, g: Trace | Gather, scaling: Scaling):
     Two traces give a float; two gathers with equal label tuples give one
     distance per row.  f plays the role of the transported (simulated)
     signal: its weights carry the sum.  A linear scaling with c=None picks
-    the shift constant per pair of rows via auto_shift_constant with the
-    default margin.
+    a shift per pair of rows whose samples span [low, high]: with margin =
+    1% of max(high, -low), at least 0.01, the shift is margin - min(low, 0),
+    so both shifted rows stay >= margin > 0.
     """
     times = f.grid.times()
     return _rowwise(lambda fv, gv: _w2_rows(fv, gv, times, scaling), f, g, "w2_distance")

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import re
 from pathlib import Path
 
@@ -33,3 +34,27 @@ def test_public_names_are_used_or_documented():
                and not re.search(rf"\b{re.escape(name)}\b", readme)]
     assert orphans == []
 
+
+
+def test_readme_library_names_resolve():
+    # the reverse direction: every name the README's library section shows
+    # in backticks is a public name or an attribute of an exported class,
+    # so a removed function cannot stay documented
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Library", 1)[1].split("\n## ", 1)[0]
+    section = re.sub(r"```.*?```", "", section, flags=re.S)
+    classes = [obj for obj in (getattr(wb, name) for name in wb.__all__)
+               if isinstance(obj, type)]
+    members = {name for cls in classes for name in dir(cls)}
+    members |= {f.name for cls in classes if dataclasses.is_dataclass(cls)
+                for f in dataclasses.fields(cls)}
+    spans = re.findall(r"`([^`]+)`", section)
+    assert spans
+    unknown = []
+    for span in spans:
+        if span.startswith("src/"):  # a source path, not a name
+            continue
+        name = re.match(r"[A-Za-z_]\w*", span).group()
+        if not hasattr(wb, name) and name not in members:
+            unknown.append(span)
+    assert unknown == []

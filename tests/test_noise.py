@@ -21,10 +21,6 @@ class TestNoiseSpec:
         with pytest.raises(ValueError):
             wb.NoiseSpec(uniform_width=-1.0)
 
-    def test_identity_spec(self):
-        assert wb.NoiseSpec().is_identity
-        assert not wb.NoiseSpec(gamma_shape=60.0).is_identity
-
 
 class TestPollute:
     def test_identity_passthrough(self):

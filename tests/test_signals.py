@@ -59,7 +59,7 @@ class TestGather:
 
     def test_lookup_by_label(self):
         ga = self._gather()
-        np.testing.assert_array_equal(ga.trace_for((0, 1, 0)).values,
+        np.testing.assert_array_equal(ga.select([(0, 1, 0)]).values[0],
                                       np.arange(4) + 1.0)
 
     def test_select_reorders_rows(self):

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,21 +7,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wassbayes as wb
-from wassbayes.transport import _BLOCK_SAMPLES, default_margin
+from wassbayes import transport
+from wassbayes.transport import (_BLOCK_SAMPLES, _normalize_rows,
+                                 _quantile_rows, _scaled_rows)
 
 
 def trace_on(grid, values):
     return wb.Trace(grid, values)
 
 
-def independent_quantile_fn(dens):
+def scaled(values, scaling):
+    """The row kernel's scaling of one row of samples."""
+    return _scaled_rows(np.array([values], dtype=np.float64), scaling.kind, scaling.c)[0]
+
+
+def normalized(values):
+    """The row kernel's (weights, cdf) of one row of nonnegative samples."""
+    weights, cdf = _normalize_rows(np.array([values], dtype=np.float64))
+    return weights[0], cdf[0]
+
+
+def quantiles(times, cdf, ps):
+    """The row kernel's inverse of one CDF row at probabilities ps."""
+    ps = np.asarray(ps, dtype=np.float64)
+    return _quantile_rows(times, cdf[None], ps.reshape(1, -1)).reshape(ps.shape)
+
+
+def auto_shift(f, g):
+    """The shift a linear scaling with c=None picks for the pair (f, g)."""
+    grid = wb.make_grid(0, 1, len(f))
+    with mock.patch.object(transport, "_scaled_rows", wraps=_scaled_rows) as spy:
+        wb.w2_distance(trace_on(grid, f), trace_on(grid, g), wb.Scaling("linear"))
+    c = spy.call_args.args[2]
+    assert c.shape == (2, 1) and c[0, 0] == c[1, 0]  # one shift for f and g
+    return float(c[0, 0])
+
+
+def independent_quantile_fn(times, cdf):
     """Reference inverse CDF built on np.interp over deduplicated knots.
 
     Keeping only the first occurrence of each CDF level realizes the
     smallest-attaining-time rule through a separate code path.
     """
-    levels = np.concatenate(([0.0], dens.cdf))
-    knots = np.concatenate(([dens.grid.times()[0]], dens.grid.times()))
+    levels = np.concatenate(([0.0], cdf))
+    knots = np.concatenate(([times[0]], times))
     keep = np.concatenate(([True], np.diff(levels) > 0))
     lv, kn = levels[keep], knots[keep]
     return lambda ps: np.interp(np.minimum(np.asarray(ps), lv[-1]), lv, kn)
@@ -117,55 +147,55 @@ def gather_pair(grid, f, g):
     return wb.Gather(grid, f, labels), wb.Gather(grid, g, labels)
 
 
-def quadrature_w2(f_dens, g_dens, n_nodes=200_000):
-    """Dense midpoint quadrature of the squared quantile difference."""
+def quadrature_w2(times, f, g, n_nodes=200_000):
+    """Dense midpoint quadrature of the squared quantile difference.
+
+    f and g are positive samples on times; their CDFs are built here with
+    plain numpy, not by the library.
+    """
+    def cdf(v):
+        w = v / v.sum()
+        return np.cumsum(w)
+
     p = (np.arange(n_nodes) + 0.5) / n_nodes
-    d = independent_quantile_fn(f_dens)(p) - independent_quantile_fn(g_dens)(p)
+    d = (independent_quantile_fn(times, cdf(f))(p)
+         - independent_quantile_fn(times, cdf(g))(p))
     return float(np.mean(d * d))
 
 
 class TestScalings:
     def test_linear(self):
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1.0, 0.0, 2.0])
-        out = wb.apply_scaling(tr, wb.Scaling("linear", 2.0))
-        np.testing.assert_allclose(out.values, [1.0, 2.0, 4.0])
+        out = scaled([-1.0, 0.0, 2.0], wb.Scaling("linear", 2.0))
+        np.testing.assert_allclose(out, [1.0, 2.0, 4.0])
 
     def test_linear_shift_too_small(self):
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1.0, 0.0, 2.0])
         with pytest.raises(wb.ComputeError):
-            wb.apply_scaling(tr, wb.Scaling("linear", 0.5))
+            scaled([-1.0, 0.0, 2.0], wb.Scaling("linear", 0.5))
 
     def test_square(self):
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1.0, 0.0, 2.0])
         np.testing.assert_allclose(
-            wb.apply_scaling(tr, wb.Scaling("square")).values, [1.0, 0.0, 4.0])
+            scaled([-1.0, 0.0, 2.0], wb.Scaling("square")), [1.0, 0.0, 4.0])
 
     def test_exponential(self):
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1.0, 0.0, 2.0])
         np.testing.assert_allclose(
-            wb.apply_scaling(tr, wb.Scaling("exponential", 1.0)).values,
+            scaled([-1.0, 0.0, 2.0], wb.Scaling("exponential", 1.0)),
             [math.exp(-1.0), 1.0, math.exp(2.0)])
 
     def test_exponential_overflow_guard(self):
-        tr = trace_on(wb.make_grid(0, 1, 2), [0.0, 800.0])
         with pytest.raises(wb.ComputeError):
-            wb.apply_scaling(tr, wb.Scaling("exponential", 1.0))
+            scaled([0.0, 800.0], wb.Scaling("exponential", 1.0))
 
     def test_absolute(self):
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1.0, 0.0, 2.0])
         np.testing.assert_allclose(
-            wb.apply_scaling(tr, wb.Scaling("absolute")).values, [1.0, 0.0, 2.0])
+            scaled([-1.0, 0.0, 2.0], wb.Scaling("absolute")), [1.0, 0.0, 2.0])
 
     def test_linexp(self):
-        tr = trace_on(wb.make_grid(0, 1, 2), [-1.0, 2.0])
         np.testing.assert_allclose(
-            wb.apply_scaling(tr, wb.Scaling("linexp", 1.0)).values,
-            [math.exp(-1.0), 3.0])
+            scaled([-1.0, 2.0], wb.Scaling("linexp", 1.0)), [math.exp(-1.0), 3.0])
 
     def test_linexp_continuous_at_zero_for_unit_constant(self):
         # both branches meet at 1 when c = 1: exp(0) = 1 = 0 + 1/1
-        tr = trace_on(wb.make_grid(0, 1, 3), [-1e-12, 0.0, 1e-12])
-        out = wb.apply_scaling(tr, wb.Scaling("linexp", 1.0)).values
+        out = scaled([-1e-12, 0.0, 1e-12], wb.Scaling("linexp", 1.0))
         np.testing.assert_allclose(out, 1.0, rtol=1e-9)
 
     def test_needs_constant(self):
@@ -179,56 +209,43 @@ class TestScalings:
 
 class TestShiftConstant:
     def test_negative_minimum(self):
-        g = wb.make_grid(0, 1, 2)
-        f = trace_on(g, [-0.3, 1.0])
-        h = trace_on(g, [0.1, 0.5])
-        assert wb.auto_shift_constant(f, h, 0.01) == pytest.approx(0.31)
+        # margin 0.01 (amplitude 1), shifted by 0.3 more to lift -0.3
+        assert auto_shift([-0.3, 1.0], [0.1, 0.5]) == pytest.approx(0.31)
 
     def test_zero_traces(self):
-        g = wb.make_grid(0, 1, 2)
-        z = trace_on(g, [0.0, 0.0])
-        assert wb.auto_shift_constant(z, z, 1.0) == 1.0
+        assert auto_shift([0.0, 0.0], [0.0, 0.0]) == 0.01
 
     def test_already_positive(self):
-        g = wb.make_grid(0, 1, 2)
-        f = trace_on(g, [0.5, 1.0])
-        assert wb.auto_shift_constant(f, f, 0.01) == 0.01
-
-    def test_margin_must_be_positive(self):
-        g = wb.make_grid(0, 1, 2)
-        f = trace_on(g, [0.5, 1.0])
-        with pytest.raises(ValueError):
-            wb.auto_shift_constant(f, f, 0.0)
+        assert auto_shift([0.5, 1.0], [0.5, 1.0]) == 0.01
 
     def test_default_margin_floor(self):
-        g = wb.make_grid(0, 1, 2)
-        tiny = trace_on(g, [0.001, 0.002])
-        assert default_margin(tiny, tiny) == pytest.approx(0.01)
-        big = trace_on(g, [5.0, -5.0])
-        assert default_margin(big, big) == pytest.approx(0.05)
+        # the margin is 1% of the amplitude max(high, -low), at least 0.01
+        assert auto_shift([0.001, 0.002], [0.001, 0.002]) == pytest.approx(0.01)
+        assert auto_shift([5.0, 2.0], [3.0, 1.0]) == pytest.approx(0.05)
+        assert auto_shift([5.0, -5.0], [5.0, -5.0]) == pytest.approx(5.05)
+        assert auto_shift([-5.0, 2.0], [1.0, 0.0]) == pytest.approx(5.05)
 
 
 class TestNormalize:
     def test_uniform(self):
-        dens = wb.normalize(trace_on(wb.make_grid(0, 1, 4), np.ones(4)))
-        np.testing.assert_allclose(dens.weights, 0.25)
-        np.testing.assert_allclose(dens.cdf, [0.25, 0.5, 0.75, 1.0])
+        weights, cdf = normalized(np.ones(4))
+        np.testing.assert_allclose(weights, 0.25)
+        np.testing.assert_allclose(cdf, [0.25, 0.5, 0.75, 1.0])
 
     def test_mass_one(self):
         rng = np.random.default_rng(0)
-        tr = trace_on(wb.make_grid(0, 1, 50), rng.uniform(0.1, 2.0, 50))
-        dens = wb.normalize(tr)
-        assert abs(dens.weights.sum() - 1.0) < 1e-12
-        assert abs(dens.cdf[-1] - 1.0) < 1e-12
-        assert np.all(np.diff(dens.cdf) >= 0)
+        weights, cdf = normalized(rng.uniform(0.1, 2.0, 50))
+        assert abs(weights.sum() - 1.0) < 1e-12
+        assert abs(cdf[-1] - 1.0) < 1e-12
+        assert np.all(np.diff(cdf) >= 0)
 
     def test_rejects_negative(self):
         with pytest.raises(wb.ComputeError):
-            wb.normalize(trace_on(wb.make_grid(0, 1, 3), [1.0, -0.1, 1.0]))
+            normalized([1.0, -0.1, 1.0])
 
     def test_rejects_zero_mass(self):
         with pytest.raises(wb.ComputeError):
-            wb.normalize(trace_on(wb.make_grid(0, 1, 3), [0.0, 0.0, 0.0]))
+            normalized([0.0, 0.0, 0.0])
 
 
 class TestInverseCdf:
@@ -236,39 +253,44 @@ class TestInverseCdf:
         # Exact level hits return the smallest attaining grid time; the
         # level 0.5 is hit exactly at t = 0, and values just above it
         # interpolate toward t = 1.
-        dens = wb.normalize(trace_on(wb.make_grid(0, 1, 2), [0.5, 0.5]))
-        assert wb.quantiles(dens, [0.0])[0] == 0.0
-        assert wb.quantiles(dens, [0.5])[0] == 0.0
-        assert wb.quantiles(dens, [0.75])[0] == pytest.approx(0.5)
-        assert wb.quantiles(dens, [1.0])[0] == 1.0
+        times, (_, cdf) = wb.make_grid(0, 1, 2).times(), normalized([0.5, 0.5])
+        assert quantiles(times, cdf, [0.0])[0] == 0.0
+        assert quantiles(times, cdf, [0.5])[0] == 0.0
+        assert quantiles(times, cdf, [0.75])[0] == pytest.approx(0.5)
+        assert quantiles(times, cdf, [1.0])[0] == 1.0
 
     def test_flat_segment_returns_smallest_time(self):
-        dens = wb.normalize(trace_on(wb.make_grid(0, 2, 3), [0.5, 0.0, 0.5]))
+        times, (_, cdf) = wb.make_grid(0, 2, 3).times(), normalized([0.5, 0.0, 0.5])
         # cdf = (0.5, 0.5, 1.0): the level 0.5 is first attained at t = 0
-        assert wb.quantiles(dens, [0.5])[0] == 0.0
+        assert quantiles(times, cdf, [0.5])[0] == 0.0
         # above the flat level, interpolation restarts from the last flat time
-        assert wb.quantiles(dens, [0.6])[0] == pytest.approx(1.2)
+        assert quantiles(times, cdf, [0.6])[0] == pytest.approx(1.2)
 
     def test_clamps_to_grid_span(self):
-        dens = wb.normalize(trace_on(wb.make_grid(1, 3, 5), np.ones(5)))
-        assert wb.quantiles(dens, [0.0])[0] == 1.0
-        assert wb.quantiles(dens, [1.0])[0] == 3.0
+        times, (_, cdf) = wb.make_grid(1, 3, 5).times(), normalized(np.ones(5))
+        assert quantiles(times, cdf, [0.0])[0] == 1.0
+        assert quantiles(times, cdf, [1.0])[0] == 3.0
 
     def test_out_of_range_rejected(self):
-        dens = wb.normalize(trace_on(wb.make_grid(0, 1, 3), np.ones(3)))
+        times, (_, cdf) = wb.make_grid(0, 1, 3).times(), normalized(np.ones(3))
         with pytest.raises(ValueError):
-            wb.quantiles(dens, [1.5])[0]
+            quantiles(times, cdf, [1.5])
         with pytest.raises(ValueError):
-            wb.quantiles(dens, [-0.2])[0]
+            quantiles(times, cdf, [-0.2])
+
+    def test_nan_probability_rejected(self):
+        times, (_, cdf) = wb.make_grid(0, 1, 3).times(), normalized(np.ones(3))
+        with pytest.raises(ValueError):
+            _quantile_rows(times, cdf[None], np.array([[np.nan, 0.5]]))
 
     def test_matches_independent_interpolation(self):
         rng = np.random.default_rng(11)
+        times = wb.make_grid(0, 7, 37).times()
         for _ in range(20):
-            vals = rng.uniform(0.05, 2.0, 37)
-            dens = wb.normalize(trace_on(wb.make_grid(0, 7, 37), vals))
+            _, cdf = normalized(rng.uniform(0.05, 2.0, 37))
             ps = rng.uniform(0, 1, 200)
-            ref = independent_quantile_fn(dens)(ps)
-            np.testing.assert_allclose(wb.quantiles(dens, ps), ref,
+            ref = independent_quantile_fn(times, cdf)(ps)
+            np.testing.assert_allclose(quantiles(times, cdf, ps), ref,
                                        rtol=1e-10, atol=1e-12)
 
 
@@ -323,7 +345,9 @@ class TestW2Distance:
             g = wb.make_grid(0, 5, 64)
             f = trace_on(g, rng.uniform(0.05, 1.0, 64))
             h = trace_on(g, rng.uniform(0.05, 1.0, 64))
-            transport_map = wb.quantiles(wb.normalize(h), wb.normalize(f).cdf)
+            _, f_cdf = normalized(f.values)
+            _, h_cdf = normalized(h.values)
+            transport_map = quantiles(g.times(), h_cdf, f_cdf)
             assert np.all(np.diff(transport_map) >= -1e-12)
             assert wb.w2_distance(f, h, wb.Scaling("absolute")) >= 0.0
 
@@ -352,8 +376,9 @@ class TestGatherDistances:
         fa, gb = self._pair()
         sc = wb.Scaling("absolute")
         per_row = wb.w2_distance(fa, gb, sc)
-        parts = [wb.w2_distance(fa.trace_for(lab), gb.trace_for(lab), sc)
-                 for lab in fa.labels]
+        parts = [wb.w2_distance(wb.Trace(fa.grid, fa.values[r]),
+                                wb.Trace(gb.grid, gb.values[r]), sc)
+                 for r in range(len(fa.labels))]
         assert per_row.shape == (2,)
         assert per_row.tolist() == parts
 
@@ -368,7 +393,7 @@ class TestGatherDistances:
     def test_mixed_trace_and_gather_rejected(self):
         fa, _ = self._pair()
         with pytest.raises(TypeError):
-            wb.w2_distance(fa, fa.trace_for((0, 0, 0)), wb.Scaling("absolute"))
+            wb.w2_distance(fa, wb.Trace(fa.grid, fa.values[0]), wb.Scaling("absolute"))
 
     def test_failing_row_raises_for_the_gather(self):
         g = wb.make_grid(0, 1, 4)
