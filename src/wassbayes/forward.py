@@ -22,17 +22,19 @@ at cell centers and averaged arithmetically onto cell faces, giving the
 standard conservative five-point stencil.  Stability requires
 max(theta) * dt * sqrt(2) / dx < 1.  The point source is a Ricker-type
 wavelet applied uniformly on a small square patch of nodes.  The sources
-of a model are stepped together in one batched, in-place kernel; above a
-size gate they are split into contiguous groups, one kernel call per
-core, each writing its own rows of one records matrix.  The kernel gives
-every source the same bits whatever the grouping, so the split never
-changes the output.
+of a model are stepped together in one batched, in-place kernel.  Above a
+size gate, and where the process may fork and use more than one core,
+each source is solved by its own kernel call instead: source 0 in the
+calling process, every other one in a forked worker that writes its rows
+into shared memory.  The kernel gives every source the same bits whatever
+the grouping, so the split never changes the output.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-import threading
+import pickle
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,12 +47,14 @@ X1_MIN, X1_MAX = -1.0, 1.0
 X2_MIN, X2_MAX = -2.0, 0.0
 SOURCE_HALF_WIDTH = 0.04  # the forcing patch is a 0.08 x 0.08 square
 _SNAP_TOL = 1e-9
-# A solve is split over n threads only when it holds at least this many
-# nodes per thread.  Below it the per-step numpy call overhead, which holds
-# the interpreter lock, outweighs the overlap: on two cores a two-way split
-# ran 2.1x slower at 2,601 nodes per thread, 1.2x at 5-10k, broke even at
-# about 15k, and ran 0.84-0.91x at 20k and 0.80-0.88x at 25k.
-MIN_NODES_PER_THREAD = 20_000
+# A solve is split into forked workers only when it makes at least this many
+# node updates (nodes times steps, summed over the sources).  A fork costs
+# per call, not per step: fork, exit and reap took 2.4 ms at ~70 MB resident
+# on two cores.  There, one worker per source against one call took 1.05-1.2x
+# the time at 2.0-2.1M updates (two-block; the ten-block grid over 40 steps),
+# 0.81x at 4.1M, 0.65x at 8.2M and 0.54x at 20.4M on the ten-block grid, but
+# 0.95-1.4x at 3.1-6.2M on the three-source four-block grid.
+MIN_SPLIT_NODE_UPDATES = 10_000_000
 
 
 def pulse_profile(x, x0: float, a: float) -> np.ndarray:
@@ -411,57 +415,147 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
                        previous=previous.reshape(shape))
 
 
-def _source_groups(n_sources: int, nodes_per_source: int) -> list[int]:
-    """Bounds of the contiguous source groups of one solve, one per thread.
+def _source_groups(n_sources: int, updates_per_source: int) -> list[int]:
+    """Bounds of the source groups of one solve: one per source, or one group.
 
-    The thread count is min(cores, S, S*N // MIN_NODES_PER_THREAD), at
-    least 1; the first groups take the extra source when S does not divide.
+    The sources are split only where os.fork exists, the process may run on
+    more than one core and the solve makes at least MIN_SPLIT_NODE_UPDATES
+    node updates in all.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    n = max(1, min(cores, n_sources, n_sources * nodes_per_source // MIN_NODES_PER_THREAD))
-    return [-(-n_sources * k // n) for k in range(n + 1)]
+    if (hasattr(os, "fork") and cores > 1
+            and n_sources * updates_per_source >= MIN_SPLIT_NODE_UPDATES):
+        return list(range(n_sources + 1))
+    return [0, n_sources]
 
 
-def _run_groups(bounds: list[int], solve: Callable[[int, int], None]) -> None:
-    """Call solve(bounds[k], bounds[k+1]) for every group k, one thread each.
+def _fork(work: Callable[[], None]) -> list[int]:
+    """Run work() in a forked child; return [pid, read end of its report pipe].
 
-    Group 0 runs on the calling thread and every other group on its own
-    thread; numpy releases the interpreter lock inside each array operation,
-    so the groups overlap.  Once every thread has been joined, the
-    exception of the first group that failed, if any, is raised here.
+    The child never returns into the caller's frames: whatever happens it
+    ends in os._exit, so stdio buffers are not flushed twice and no atexit
+    handler runs.  An exception raised by work is pickled onto the pipe and
+    the child exits with status 1.  work must take no lock that another
+    thread could hold at the fork: the leapfrog kernel runs numpy
+    element-wise operations only, never the BLAS thread pool.
     """
-    errors: list[BaseException | None] = [None] * (len(bounds) - 1)
-
-    def run(k: int) -> None:
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
         try:
-            solve(bounds[k], bounds[k + 1])
-        except BaseException as exc:  # re-raised by the caller
-            errors[k] = exc
+            os.close(read)
+            try:
+                work()
+                code = 0
+            except BaseException as exc:
+                try:
+                    report = pickle.dumps(exc)
+                except Exception:  # an exception that does not pickle
+                    report = pickle.dumps(ChildProcessError(repr(exc)))
+                with open(write, "wb") as fh:
+                    fh.write(report)
+        finally:
+            os._exit(code)
+    os.close(write)
+    return [pid, read]
 
-    threads = [threading.Thread(target=run, args=(k,), name=f"wassbayes-sources-{k}")
-               for k in range(1, len(bounds) - 1)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+
+def _reap(workers: list[list[int]], kill: bool) -> BaseException | None:
+    """Wait for every [pid, report fd] worker; return the first one's failure.
+
+    With kill, every worker is sent SIGKILL first.  A worker that ends with
+    a nonzero status and no report (killed, out of memory) fails with a
+    ChildProcessError.  If this wait is itself interrupted, the workers not
+    reaped yet are killed and reaped before the interrupt propagates.
+    """
+    import signal
+
+    failure = None
+    try:
+        for pid, _ in workers if kill else ():
+            os.kill(pid, signal.SIGKILL)
+        for worker in workers:
+            pid, fd = worker
+            with open(fd, "rb", closefd=False) as fh:
+                report = fh.read()
+            worker[1] = -1
+            os.close(fd)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            worker[0] = 0
+            if failure is None and (report or code):
+                failure = pickle.loads(report) if report else ChildProcessError(
+                    f"source worker {pid} ended with status {code} and no report")
+    finally:
+        for pid, fd in workers:
+            if fd >= 0:
+                os.close(fd)
+            if pid:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+    return failure
+
+
+def _run_groups(bounds: list[int], records: np.ndarray,
+                solve: Callable[[int, int, np.ndarray], None]) -> None:
+    """Fill records by solve(a, b, rows) for each contiguous group a .. b - 1.
+
+    records holds the same number of rows for every source, and rows is the
+    row block of sources a .. b - 1.  Group 0 runs in this process, straight
+    into records.  Every other group runs in a forked worker that writes its
+    rows into one anonymous shared mapping; once every worker is reaped,
+    those rows are copied into records.  If this process's own group fails,
+    the workers are killed and reaped and its exception propagates;
+    otherwise the first failed worker's exception is raised here.
+    """
+    if len(bounds) == 2:
+        solve(bounds[0], bounds[1], records)
+        return
+    import mmap
+
+    per_source = records.shape[0] // bounds[-1]
+    head, first = bounds[1] * per_source, bounds[1]
+    tail = records[head:]
+    workers: list[list[int]] = []
+    with mmap.mmap(-1, tail.nbytes) as shared:
+
+        def work(a: int, b: int) -> None:
+            rows = np.ndarray(tail.shape, buffer=shared)
+            solve(a, b, rows[(a - first) * per_source:(b - first) * per_source])
+
+        try:
+            for a, b in zip(bounds[1:-1], bounds[2:]):
+                workers.append(_fork(lambda a=a, b=b: work(a, b)))
+            solve(bounds[0], first, records[:head])
+        except BaseException:
+            _reap(workers, kill=True)
+            raise
+        failure = _reap(workers, kill=False)
+        if failure is not None:
+            raise failure
+        tail[...] = np.ndarray(tail.shape, buffer=shared)
 
 
 def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     """Traces at the model receivers for every source, zero initial data.
 
     Row s*R + r of the gather is receiver r of source s, labelled (s, r, 0).
-    The sources are stepped together in one kernel call or, when the
-    process may run on more than one core and the solve holds at least
-    MIN_NODES_PER_THREAD nodes for each thread, split into contiguous
-    groups that run on one thread each.  There is no setting for this;
-    every grouping gives the same bits.
+    The sources are stepped together in one kernel call or, when os.fork
+    exists, the process may run on more than one core and the solve makes
+    at least MIN_SPLIT_NODE_UPDATES node updates, one call per source:
+    source 0 in this process and every other source in a forked worker.
+    A worker's exception is raised here with its type, and no worker
+    outlives the call.  There is no setting for this; every grouping gives
+    the same bits.
     """
     model.check_cfl(theta)
     patches = [model.source_nodes(k) for k in range(len(model.sources))]
@@ -474,12 +568,13 @@ def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     n_rec = len(model.receivers)
     records = np.empty((len(patches) * n_rec, model.grid.n))
 
-    def solve(a: int, b: int) -> None:
-        """Sources a .. b - 1 into their own row block of records."""
+    def solve(a: int, b: int, rows: np.ndarray) -> None:
+        """Sources a .. b - 1 into rows, their block of the records."""
         _leapfrog(c2, model.dx, model.solver_dt, n_steps, patches[a:b], series,
-                  model._rec_idx, model._decim, records=records[a * n_rec:b * n_rec])
+                  model._rec_idx, model._decim, records=rows)
 
-    _run_groups(_source_groups(len(patches), (model._nx + 1) * (model._nz + 1)), solve)
+    updates = (model._nx + 1) * (model._nz + 1) * n_steps
+    _run_groups(_source_groups(len(patches), updates), records, solve)
     records.setflags(write=False)  # owned and frozen: kept without a copy
     labels = tuple((s, r, 0) for s in range(len(model.sources))
                    for r in range(len(model.receivers)))

@@ -1,9 +1,9 @@
 import contextlib
 import math
 import os
+import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 from unittest import mock
@@ -614,7 +614,7 @@ class TestBatchedSources:
         g = wb.acoustic_simulate(small_acoustic(), np.array([1.0]))
         assert g.values.base is None
         assert not g.values.flags.writeable
-        # split over threads, every group writes into the one records matrix
+        # split over workers, every group's rows end in the one records matrix
         model = node_model(20, ((5, 5), (10, 10), (15, 15)), ((3, 3),))
         with forced_groups([0, 1, 3]):
             g = wb.acoustic_simulate(model, np.array([1.0]))
@@ -654,21 +654,50 @@ def forced_groups(bounds):
         yield
 
 
-def counted_kernel(monkeypatch) -> list[tuple[int, str]]:
-    """(source count, thread name) of every _leapfrog call."""
+def counted_kernel(monkeypatch) -> list[int]:
+    """Source count of every _leapfrog call made in this process."""
     calls = []
     kernel = forward_module._leapfrog
 
     def counting(c2, dx, dt, n_steps, patches, *args, **kwargs):
-        calls.append((len(patches), threading.current_thread().name))
+        if os.getpid() == parent:  # a forked worker's appends never reach the test
+            calls.append(len(patches))
         return kernel(c2, dx, dt, n_steps, patches, *args, **kwargs)
 
+    parent = os.getpid()
     monkeypatch.setattr(forward_module, "_leapfrog", counting)
     return calls
 
 
-def ten_block_sized_model(n=5):
-    """The ten-block geometry (5 sources, 101 x 101 nodes) over n trace samples."""
+def counted_forks(monkeypatch) -> list[int]:
+    """The pid of every child os.fork starts, as seen by this process."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting)
+    return pids
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def ten_block_sized_model(n=51):
+    """The ten-block geometry (5 sources, 101 x 101 nodes) over n trace samples.
+
+    At the default n the solve makes 5 * 10,201 nodes * 200 steps = 10.2M
+    node updates, just above MIN_SPLIT_NODE_UPDATES.
+    """
     fwd = wb.builtin_config("ten-block-tomography")["forward"]
     return wb.AcousticModel(
         dx=fwd["dx"], solver_dt=fwd["solver_dt"],
@@ -678,8 +707,8 @@ def ten_block_sized_model(n=5):
         block_rows=fwd["block_rows"], block_cols=fwd["block_cols"])
 
 
-class TestSourceThreads:
-    """Sources split over threads give the one-call kernel's bits."""
+class TestSourceWorkers:
+    """Sources split over forked workers give the one-call kernel's bits."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -706,87 +735,141 @@ class TestSourceThreads:
         theta = np.array(speeds)
         with forced_groups([0, n_src]):
             one = wb.acoustic_simulate(model, theta)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # interleave the groups as finely as possible
-        try:
-            with forced_groups(bounds):
-                split = wb.acoustic_simulate(model, theta)
-        finally:
-            sys.setswitchinterval(interval)
+        with forced_groups(bounds):
+            split = wb.acoustic_simulate(model, theta)
         assert same_bits(split.values, one.values)
         assert split.labels == one.labels
 
     def test_worker_exception_reaches_the_caller(self, monkeypatch):
         kernel = forward_module._leapfrog
+        parent = os.getpid()
+        model = node_model(20, ((5, 5), (10, 10), (15, 15)), ((3, 3),))
+        for error in (TypeError("kernel failed in a worker"),
+                      wb.ComputeError("kernel failed in a worker")):
+            def failing_in_a_worker(*args, error=error, **kwargs):
+                if os.getpid() != parent:
+                    raise error
+                return kernel(*args, **kwargs)
 
-        def failing_off_main(*args, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                raise TypeError("kernel failed in a worker")
+            monkeypatch.setattr(forward_module, "_leapfrog", failing_in_a_worker)
+            with forced_groups([0, 1, 2, 3]), pytest.raises(type(error), match="worker"):
+                wb.acoustic_simulate(model, np.array([1.0]))
+            assert no_child_left()
+
+    def test_caller_exception_kills_the_workers(self, monkeypatch):
+        # the workers would sleep for a minute: the caller kills and reaps
+        # them instead of waiting for them
+        kernel = forward_module._leapfrog
+        parent = os.getpid()
+        model = node_model(20, ((5, 5), (10, 10)), ((3, 3),))
+        forks = counted_forks(monkeypatch)
+        for error in (MemoryError, KeyboardInterrupt):
+            def failing_in_the_caller(*args, error=error, **kwargs):
+                if os.getpid() == parent:
+                    raise error("kernel failed in the calling process")
+                time.sleep(60.0)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(forward_module, "_leapfrog", failing_in_the_caller)
+            forks.clear()
+            started = time.perf_counter()
+            with forced_groups([0, 1, 2]), pytest.raises(error):
+                wb.acoustic_simulate(model, np.array([1.0]))
+            assert time.perf_counter() - started < 30.0
+            assert len(forks) == 1
+            assert no_child_left()
+
+    def test_dead_worker_is_an_error(self, monkeypatch):
+        kernel = forward_module._leapfrog
+        parent = os.getpid()
+
+        def killed_in_a_worker(*args, **kwargs):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
             return kernel(*args, **kwargs)
 
-        hooked = []
-        monkeypatch.setattr(threading, "excepthook", hooked.append)
-        monkeypatch.setattr(forward_module, "_leapfrog", failing_off_main)
+        monkeypatch.setattr(forward_module, "_leapfrog", killed_in_a_worker)
         model = node_model(20, ((5, 5), (10, 10), (15, 15)), ((3, 3),))
-        before = threading.active_count()
-        with forced_groups([0, 1, 2, 3]), pytest.raises(TypeError, match="worker"):
-            wb.acoustic_simulate(model, np.array([1.0]))
-        assert hooked == []
-        assert threading.active_count() == before
+        gathers = []
+        with forced_groups([0, 1, 2, 3]), pytest.raises(ChildProcessError, match="no report"):
+            gathers.append(wb.acoustic_simulate(model, np.array([1.0])))
+        assert gathers == []
+        assert no_child_left()
 
-    def test_caller_exception_waits_for_the_workers(self, monkeypatch):
-        kernel = forward_module._leapfrog
-        finished = []
+    def test_worker_leaves_no_trace_in_the_parent_output(self):
+        # stdout is a pipe, so the marker sits unflushed in the buffer that
+        # every worker inherits: only os._exit keeps them from writing it
+        code = ("from unittest import mock\n"
+                "import numpy as np\n"
+                "import wassbayes as wb\n"
+                "from wassbayes import forward\n"
+                "fwd = wb.builtin_config('four-block-tomography')['forward']\n"
+                "bundle = wb.build_forward(fwd)\n"
+                "print('marker', end='')\n"
+                "with mock.patch.object(forward, '_source_groups', lambda s, n: [0, 1, 2, 3]):\n"
+                "    bundle.simulate(np.array([2.0, 2.5, 3.0, 3.5]))\n")
+        done = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
+                              capture_output=True, text=True, timeout=120)
+        assert done.stdout == "marker"
 
-        def failing_on_main(*args, **kwargs):
-            if threading.current_thread() is threading.main_thread():
-                raise MemoryError("kernel failed on the calling thread")
-            time.sleep(0.05)
-            finished.append(kernel(*args, **kwargs))
-
-        monkeypatch.setattr(forward_module, "_leapfrog", failing_on_main)
-        model = node_model(20, ((5, 5), (10, 10)), ((3, 3),))
-        with forced_groups([0, 1, 2]), pytest.raises(MemoryError):
-            wb.acoustic_simulate(model, np.array([1.0]))
-        assert len(finished) == 1
-
-    def test_two_block_makes_one_call(self, monkeypatch):
+    def test_fallbacks_give_one_call_with_the_same_bits(self, monkeypatch):
+        model, theta = ten_block_sized_model(), np.full(10, 3.0)
+        with forced_groups(range(6)):
+            split = wb.acoustic_simulate(model, theta)
         calls = counted_kernel(monkeypatch)
-        bundle = wb.build_forward(wb.builtin_config("two-block-tomography")["forward"])
+        forks = counted_forks(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert same_bits(wb.acoustic_simulate(model, theta).values, split.values)
+        assert (calls, forks) == ([5], [])
+        calls.clear()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
+        assert same_bits(wb.acoustic_simulate(model, theta).values, split.values)
+        assert calls == [5]
+        monkeypatch.undo()
+        # two-block: 2 sources * 2,601 nodes * 400 steps = 2.1M node updates
+        two_block = wb.builtin_config("two-block-tomography")["forward"]
+        bundle, theta = wb.build_forward(two_block), np.array([2.0, 3.0])
+        with forced_groups([0, 1, 2]):
+            split = bundle.simulate(theta)
+        calls = counted_kernel(monkeypatch)
+        forks = counted_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        bundle.simulate(np.array([2.0, 3.0]))
-        assert calls == [(2, threading.main_thread().name)]
+        assert same_bits(bundle.simulate(theta).values, split.values)
+        assert calls == [2]
+        assert forks == []
 
     def test_ten_block_splits_only_on_more_cores(self, monkeypatch):
+        model, theta = ten_block_sized_model(), np.full(10, 3.0)
         calls = counted_kernel(monkeypatch)
-        model = ten_block_sized_model()
-        theta = np.full(10, 3.0)
+        forks = counted_forks(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         one = wb.acoustic_simulate(model, theta)
-        assert calls == [(5, threading.main_thread().name)]
+        assert (calls, forks) == ([5], [])
         calls.clear()
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         split = wb.acoustic_simulate(model, theta)
-        assert sorted(n for n, _ in calls) == [2, 3]
-        assert (3, threading.main_thread().name) in calls
+        assert calls == [1]  # source 0 here, sources 1-4 in one worker each
+        assert len(forks) == 4
         assert same_bits(split.values, one.values)
-        # 51,005 nodes give at most two threads of 20,000, whatever the cores
+        assert no_child_left()
+        # below the gate (5 * 10,201 nodes * 196 steps) it stays one call
         calls.clear()
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        wb.acoustic_simulate(model, theta)
-        assert len(calls) == 2
+        forks.clear()
+        wb.acoustic_simulate(ten_block_sized_model(n=50), np.full(10, 3.0))
+        assert (calls, forks) == ([5], [])
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         calls = counted_kernel(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         wb.acoustic_simulate(ten_block_sized_model(), np.full(10, 3.0))
-        assert len(calls) == 1
+        assert calls == [5]
         calls.clear()
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         wb.acoustic_simulate(ten_block_sized_model(), np.full(10, 3.0))
-        assert len(calls) == 2
+        assert calls == [1]
 
 
 class TestReceiverLayouts:
@@ -814,18 +897,26 @@ class TestReceiverLayouts:
         assert out == ((0.1, -0.5), (0.98, -0.02))
 
 
+def src_env() -> dict:
+    """The environment of a child Python that imports wassbayes from this tree."""
+    src = str(Path(wb.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def test_runtime_does_not_import_scipy():
     # scipy is a test dependency only: importing scipy.sparse after numpy
-    # adds about 22 MiB of peak resident memory and 0.14 s of start-up
+    # adds about 22 MiB of peak resident memory and 0.14 s of start-up.  A
+    # two-block forward makes one kernel call, so it loads no process pool
+    # and no shared-memory module either.
     code = ("import sys\n"
             "import numpy as np\n"
             "import wassbayes as wb\n"
             "cfg = wb.builtin_config('two-block-tomography')\n"
             "wb.build_forward(cfg['forward']).simulate(np.array([2.0, 3.0]))\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(wb.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+            "banned = ('scipy', 'multiprocessing', 'concurrent.futures', 'mmap')\n"
+            "print(sorted(m for m in sys.modules for b in banned\n"
+            "             if m == b or m.startswith(b + '.')))\n")
+    done = subprocess.run([sys.executable, "-c", code], env=src_env(), check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.strip() == "[]"
