@@ -22,12 +22,13 @@ at cell centers and averaged arithmetically onto cell faces, giving the
 standard conservative five-point stencil.  Stability requires
 max(theta) * dt * sqrt(2) / dx < 1.  The point source is a Ricker-type
 wavelet applied uniformly on a small square patch of nodes.  The sources
-of a model are stepped together in one batched, in-place kernel.  Above a
-size gate, and where the process may fork and use more than one core,
-each source is solved by its own kernel call instead: source 0 in the
+of a model are stepped together in one batched, in-place kernel, in
+float32 for acoustic_simulate (its gather stays float64) and in float64 for
+leapfrog_solve.  Above a size gate, and where the process may fork, the
+sources are cut into one contiguous group per usable core: group 0 in the
 calling process, every other one in a forked worker that writes its rows
-into shared memory.  The kernel gives every source the same bits whatever
-the grouping, so the split never changes the output.
+into shared memory.  The kernel gives every source the same bits whatever the
+grouping, so the split never changes the output.
 """
 from __future__ import annotations
 
@@ -48,12 +49,13 @@ X2_MIN, X2_MAX = -2.0, 0.0
 SOURCE_HALF_WIDTH = 0.04  # the forcing patch is a 0.08 x 0.08 square
 _SNAP_TOL = 1e-9
 # A solve is split into forked workers only when it makes at least this many
-# node updates (nodes times steps, summed over the sources).  A fork costs
-# per call, not per step: fork, exit and reap took 2.4 ms at ~70 MB resident
-# on two cores.  There, one worker per source against one call took 1.05-1.2x
-# the time at 2.0-2.1M updates (two-block; the ten-block grid over 40 steps),
-# 0.81x at 4.1M, 0.65x at 8.2M and 0.54x at 20.4M on the ten-block grid, but
-# 0.95-1.4x at 3.1-6.2M on the three-source four-block grid.
+# node updates (nodes times steps, summed over the sources); a fork costs
+# 2.4 ms per call at ~70 MB resident.  Paired medians on two cores, float32
+# kernel, per-core groups against one call: the five-source ten-block grid
+# took 0.86x at 3.1M, 0.67x at 10.2M and 0.62x at 20.4M updates; two of its
+# sources 1.2x at 3.3M and 0.98x at 6.5M; 51 x 51 nodes a source (two-block,
+# four-block) 1.2-1.4x at 2.1-6.2M but 0.85-0.91x at 8.3-25M.  Above the gate
+# every measured geometry wins or breaks even, whatever its nodes per source.
 MIN_SPLIT_NODE_UPDATES = 10_000_000
 
 
@@ -270,9 +272,8 @@ class SolveResult:
 def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
               patches, series: np.ndarray | None, record_idx: np.ndarray,
               record_every: int, u0: np.ndarray | None = None,
-              v0: np.ndarray | None = None,
               field_forcing: Callable[[float], np.ndarray] | None = None,
-              records: np.ndarray | None = None):
+              records: np.ndarray | None = None, dtype=np.float64):
     """One leapfrog solve per forcing patch, all stepped together in place.
 
     Source s owns nodes s*N .. (s+1)*N - 1 of one flat buffer, node (i, j)
@@ -287,9 +288,10 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     on the patch nodes only matches adding a forcing array that is 0.0
     elsewhere; with initial data or a field forcing F is built on every node.
 
-    Returns the (S * R, n_records) records (row s*R + r: receiver r of
-    source s), written into records when it is given, and the last two flat
-    states.
+    State, coefficients, scratch and series are held in dtype.  Returns the
+    (S * R, n_records) records (row s*R + r: receiver r of source s),
+    written into records when it is given (float64 otherwise), and the last
+    two flat states.
     """
     nx, nz = c2_cells.shape
     shape = (nx + 1, nz + 1)
@@ -298,21 +300,23 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
     total = len(patches) * n_nodes
     lo, hi = m, total - m
     ax, ay = face_coefficients(c2_cells)
-    coef = np.zeros((3, len(patches)) + shape)
+    coef = np.zeros((3, len(patches)) + shape, dtype)
     coef[0, :, :-1, 1:-1] = ax   # face (i, j)-(i+1, j), stored at (i, j)
     coef[1, :, 1:-1, :-1] = ay   # face (i, j)-(i, j+1), stored at (i, j)
     coef[2, :, 1:-1, 1:-1] = 1.0 / (dx * dx)
     coef = coef.reshape(3, total)
     face_x, face_y, scale = coef[0, lo - m:hi], coef[1, lo - 1:hi], coef[2, lo:hi]
-    flux_x = np.empty(hi - lo + m)
-    flux_y = np.empty(hi - lo + 1)
-    lap = np.empty(hi - lo)
-    state = np.zeros((3, total))
+    flux_x = np.empty(hi - lo + m, dtype)
+    flux_y = np.empty(hi - lo + 1, dtype)
+    lap = np.empty(hi - lo, dtype)
+    state = np.zeros((3, total), dtype)
     u_prev, u, u_next = state
+    if series is not None:
+        series = np.asarray(series, dtype)
     patch = np.concatenate([s * n_nodes + ii * m + jj
                             for s, (ii, jj) in enumerate(patches)]) - lo
-    dense = u0 is not None or v0 is not None or field_forcing is not None
-    force = np.zeros(total) if dense else None
+    dense = u0 is not None or field_forcing is not None
+    force = np.zeros(total, dtype) if dense else None
 
     def apply_operator(v: np.ndarray, step: int) -> None:
         """lap <- div(a^2 grad v) + F(step) on nodes lo .. hi - 1."""
@@ -351,11 +355,8 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
         grid_prev[:, 0] = grid_prev[:, -1] = 0.0
     record(0, u_prev)
 
-    # Taylor first step keeps the scheme second-order for nonzero (u0, v0)
+    # Taylor first step keeps the scheme second-order for nonzero u0
     u[:] = u_prev
-    if v0 is not None:
-        v0 = np.asarray(v0, dtype=np.float64)
-        u.reshape(shape)[1:-1, 1:-1] += dt * v0[1:-1, 1:-1]
     apply_operator(u_prev, 0)
     np.multiply(lap, 0.5 * dt * dt, out=lap)
     u[lo:hi] += lap
@@ -376,7 +377,6 @@ def _leapfrog(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
 
 def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
                    u0: np.ndarray | None = None,
-                   v0: np.ndarray | None = None,
                    source_nodes: tuple[np.ndarray, np.ndarray] | None = None,
                    source_series: np.ndarray | None = None,
                    field_forcing: Callable[[float], np.ndarray] | None = None,
@@ -386,15 +386,14 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
 
     The state lives on nodes, shape (nx+1, nz+1).  F at step n is the sum of
     source_series[n] spread over source_nodes and field_forcing(n*dt) when
-    given.  Initial data (u0, v0) default to zero; the first step uses the
-    Taylor start u^1 = u^0 + dt v^0 + dt^2/2 (L u^0 + F^0), which keeps the
-    scheme second-order for nonzero initial data.  record_idx holds (i, j)
-    node indices to record every record_every steps.
+    given.  u0 defaults to zero and the initial velocity is zero; the first
+    step uses the Taylor start u^1 = u^0 + dt^2/2 (L u^0 + F^0), which keeps
+    the scheme second-order for nonzero u0.  record_idx holds (i, j) node
+    indices to record every record_every steps.  The solve runs in float64.
     """
     shape = (c2_cells.shape[0] + 1, c2_cells.shape[1] + 1)
-    for name, data in (("u0", u0), ("v0", v0)):
-        if data is not None and np.shape(data) != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {np.shape(data)}")
+    if u0 is not None and np.shape(u0) != shape:
+        raise ValueError(f"u0 must have shape {shape}, got {np.shape(u0)}")
     if n_steps < 1:
         raise ValueError("need at least one time step")
     rec = (np.zeros((0, 2), dtype=np.int64) if record_idx is None
@@ -410,26 +409,28 @@ def leapfrog_solve(c2_cells: np.ndarray, dx: float, dt: float, n_steps: int,
         source_series = None
     records, final, previous = _leapfrog(
         c2_cells, dx, dt, n_steps, [(ii, jj)], source_series, rec,
-        record_every, u0, v0, field_forcing)
+        record_every, u0, field_forcing)
     return SolveResult(records=records.T, final=final.reshape(shape),
                        previous=previous.reshape(shape))
 
 
 def _source_groups(n_sources: int, updates_per_source: int) -> list[int]:
-    """Bounds of the source groups of one solve: one per source, or one group.
+    """Bounds of the contiguous source groups of one solve, one per usable core.
 
-    The sources are split only where os.fork exists, the process may run on
-    more than one core and the solve makes at least MIN_SPLIT_NODE_UPDATES
-    node updates in all.
+    The sources are split only where os.fork exists and the solve makes at
+    least MIN_SPLIT_NODE_UPDATES node updates in all; then there are
+    min(cores, n_sources) groups whose sizes differ by at most one, the
+    larger ones first.  Otherwise the one group holds every source.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cores = os.cpu_count() or 1
-    if (hasattr(os, "fork") and cores > 1
-            and n_sources * updates_per_source >= MIN_SPLIT_NODE_UPDATES):
-        return list(range(n_sources + 1))
-    return [0, n_sources]
+    groups = 1
+    if hasattr(os, "fork") and n_sources * updates_per_source >= MIN_SPLIT_NODE_UPDATES:
+        groups = min(cores, n_sources)
+    size, larger = divmod(n_sources, groups)
+    return [k * size + min(k, larger) for k in range(groups + 1)]
 
 
 def _fork(work: Callable[[], None]) -> list[int]:
@@ -549,13 +550,14 @@ def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     """Traces at the model receivers for every source, zero initial data.
 
     Row s*R + r of the gather is receiver r of source s, labelled (s, r, 0).
-    The sources are stepped together in one kernel call or, when os.fork
-    exists, the process may run on more than one core and the solve makes
-    at least MIN_SPLIT_NODE_UPDATES node updates, one call per source:
-    source 0 in this process and every other source in a forked worker.
-    A worker's exception is raised here with its type, and no worker
-    outlives the call.  There is no setting for this; every grouping gives
-    the same bits.
+    The kernel steps the acoustic state in float32 (leapfrog_solve stays
+    float64); each record is widened exactly into the float64 gather.  The
+    sources are stepped together in one kernel call or, when os.fork exists
+    and the solve makes at least MIN_SPLIT_NODE_UPDATES node updates, in
+    one contiguous group per usable core: group 0, the largest, in this
+    process and every other group in a forked worker.  A worker's exception
+    is raised here with its type, and no worker outlives the call.  There
+    is no setting for this; every grouping gives the same bits.
     """
     model.check_cfl(theta)
     patches = [model.source_nodes(k) for k in range(len(model.sources))]
@@ -571,7 +573,7 @@ def acoustic_simulate(model: AcousticModel, theta: np.ndarray) -> Gather:
     def solve(a: int, b: int, rows: np.ndarray) -> None:
         """Sources a .. b - 1 into rows, their block of the records."""
         _leapfrog(c2, model.dx, model.solver_dt, n_steps, patches[a:b], series,
-                  model._rec_idx, model._decim, records=rows)
+                  model._rec_idx, model._decim, records=rows, dtype=np.float32)
 
     updates = (model._nx + 1) * (model._nz + 1) * n_steps
     _run_groups(_source_groups(len(patches), updates), records, solve)
